@@ -199,13 +199,13 @@ fn throughput_report(w: &Workload) {
 ///    variable-length train materialisation left scalar), the end-to-end
 ///    path no longer hides behind Amdahl's law.
 /// 2. **Dense kernel pass** ([`SnnNetwork::analog_forward`], the exact
-///    matvec sequence the dense branch runs per layer, on the converted
+///    matvec sequence the engine runs per layer, on the converted
 ///    weights): gated to >= 1.5x AVX2-over-scalar — this is the part the
 ///    dispatch machinery exists for, and a floor here fails loudly if a
 ///    future refactor quietly routes the hot path back through portable
 ///    code.
 /// 3. **Coding microbenches**: encode-only (`encode_raster_into`) and
-///    decode-only (`decode_active_into`) rows per coding and per ISA on
+///    decode-only (`decode_into`) rows per coding and per ISA on
 ///    the 784-wide input rows, equality-gated train-for-train and
 ///    bit-for-bit against the scalar backend.  These isolate the coding
 ///    layer's own speedup from the kernel-dominated end-to-end number.
@@ -216,10 +216,7 @@ fn simd_throughput_report() {
     let noise = DeletionNoise::new(0.0).expect("noise");
     let isas = available_backends();
     let previous = nrsnn_tensor::simd::active_backend();
-    let network = pipeline
-        .to_snn(&scaling)
-        .expect("convert")
-        .with_sparsity(SparsityPolicy::Dense);
+    let network = pipeline.to_snn(&scaling).expect("convert");
     let inputs = &pipeline.dataset().test.inputs;
 
     let mut entries: Vec<(String, f64)> = Vec::new();
@@ -307,8 +304,8 @@ fn simd_throughput_report() {
         }
     }
 
-    // Dense kernel pass: the per-layer matvec sequence both codings run on
-    // their dense branch, timed in isolation on the same samples.
+    // Dense kernel pass: the per-layer matvec sequence both codings run,
+    // timed in isolation on the same samples.
     let forward_digest = || -> Vec<Vec<u32>> {
         (0..SAMPLES)
             .map(|sample| {
@@ -378,7 +375,7 @@ fn simd_throughput_report() {
 
 /// Encode-only and decode-only rows per coding, per ISA, on the MLP's
 /// 784-wide input rows: `encode_raster_into` (block encode into a reused
-/// raster + scratch) and `decode_active_into` (block decode of the encoded
+/// raster + scratch) and `decode_into` (block decode of the encoded
 /// rasters).  Every ISA is equality-gated — trains and decoded bits must
 /// match the scalar backend exactly — before it is timed.  Keys land in
 /// the same `simd_throughput` summary section as the end-to-end rows.
@@ -411,7 +408,6 @@ fn coding_micro_report(
         let mut scratch = CodingScratch::new();
         let mut raster = SpikeRaster::new(0, 1);
         let mut decoded = Vec::new();
-        let mut active = Vec::new();
         let mut dscratch = Vec::new();
 
         // Scalar reference: encoded rasters and their decoded bits.
@@ -426,7 +422,7 @@ fn coding_micro_report(
         let reference_bits: Vec<Vec<u32>> = reference
             .iter()
             .map(|r| {
-                coding.decode_active_into(r, &cfg, &mut decoded, &mut active, &mut dscratch);
+                coding.decode_into(r, &cfg, &mut decoded, &mut dscratch);
                 decoded.iter().map(|v| v.to_bits()).collect()
             })
             .collect();
@@ -445,7 +441,7 @@ fn coding_micro_report(
                 );
             }
             for (r, expected) in reference.iter().zip(&reference_bits) {
-                coding.decode_active_into(r, &cfg, &mut decoded, &mut active, &mut dscratch);
+                coding.decode_into(r, &cfg, &mut decoded, &mut dscratch);
                 let got: Vec<u32> = decoded.iter().map(|v| v.to_bits()).collect();
                 assert_eq!(
                     &got,
@@ -464,7 +460,7 @@ fn coding_micro_report(
         });
         let decode_rates = best_rates(isas, SAMPLES, || {
             for r in &reference {
-                coding.decode_active_into(r, &cfg, &mut decoded, &mut active, &mut dscratch);
+                coding.decode_into(r, &cfg, &mut decoded, &mut dscratch);
                 black_box(&decoded);
             }
         });

@@ -15,15 +15,9 @@
 //! worker thread owns a single reusable [`SimWorkspace`] (created once per
 //! worker via [`try_parallel_map_init`]) and simulates its chunks through
 //! the batched [`SnnNetwork::simulate_batch`] API, so the steady-state hot
-//! loop allocates nothing per sample.  The engine underneath is
-//! sparsity-aware: each layer decodes only its active spike trains and
-//! auto-selects sparse kernels by measured density
-//! (`nrsnn_snn::SparsityPolicy`), so sweep cells under few-spike codings
-//! (TTFS, TTAS) at high deletion levels run proportionally faster — with
-//! results still bit-identical, because the sparse kernels only skip exact
-//! `w · 0.0` terms.  A chunk reduces to the pair `(correct, spikes)` of
-//! integer counts; per-point sums over chunks in index order equal the old
-//! per-sample sums exactly.
+//! loop allocates nothing per sample.  A chunk reduces to the pair
+//! `(correct, spikes)` of integer counts; per-point sums over chunks in
+//! index order equal the old per-sample sums exactly.
 //!
 //! Determinism contract: sample `s` is always simulated with a fresh RNG
 //! seeded `derive_seed(sweep_seed, s)` — a pure function of the sweep seed

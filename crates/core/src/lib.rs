@@ -121,6 +121,6 @@ pub mod prelude {
     };
     pub use nrsnn_snn::{
         BatchOutcome, CodingConfig, CodingKind, IdentityTransform, NeuralCoding, SimWorkspace,
-        SnnNetwork, SparsityPolicy, SpikeTransform, TtasCoding,
+        SnnNetwork, SpikeTransform, TtasCoding,
     };
 }

@@ -19,7 +19,7 @@ pub enum Stage {
     Noise,
     /// Spike-to-analog PSC decode of the received raster.
     Decode,
-    /// The layer forward pass (dense or sparse kernel).
+    /// The layer forward pass.
     Simulate,
     /// From simulation end to the reply being recorded: logits copy and
     /// response construction.
@@ -83,7 +83,9 @@ pub enum KernelPath {
     None,
     /// Dense forward: every column scanned.
     Dense,
-    /// Sparse gather: only the active column set touched.
+    /// Sparse gather: only the active column set touched.  The engine no
+    /// longer runs one; the variant keeps its wire code (2) so traces from
+    /// peers that still send it decode.
     Sparse,
 }
 
@@ -132,7 +134,7 @@ pub struct Span {
     pub end_ns: u64,
     /// Kernel taken by a simulate span; [`KernelPath::None`] otherwise.
     pub kernel: KernelPath,
-    /// Measured raster density the kernel decision saw; `0.0` for
+    /// Fraction of the layer's received neurons that fired; `0.0` for
     /// non-simulate spans.
     pub density: f32,
 }

@@ -12,11 +12,8 @@
 //! zero window it batches exactly the current backlog and never delays a
 //! request.  Each batch becomes **one**
 //! [`SnnNetwork::simulate_batch_each`](nrsnn_snn::SnnNetwork::simulate_batch_each)
-//! call through the worker's own reusable [`SimWorkspace`].  The simulation
-//! engine under that call is sparsity-aware (see
-//! `nrsnn_snn::SparsityPolicy`): served models running few-spike temporal
-//! codings cost per-request compute proportional to their active neurons,
-//! while replies stay bit-identical to the offline simulator.
+//! call through the worker's own reusable [`SimWorkspace`], so replies stay
+//! bit-identical to the offline simulator.
 //!
 //! ## Backpressure
 //!
@@ -618,14 +615,7 @@ fn run_batch(core: &ServerCore, worker: usize, sealed: Instant, scratch: &mut Wo
                         SimStage::Encode => (Stage::Encode, KernelPath::None),
                         SimStage::Noise => (Stage::Noise, KernelPath::None),
                         SimStage::Decode => (Stage::Decode, KernelPath::None),
-                        SimStage::Forward => (
-                            Stage::Simulate,
-                            if event.sparse {
-                                KernelPath::Sparse
-                            } else {
-                                KernelPath::Dense
-                            },
-                        ),
+                        SimStage::Forward => (Stage::Simulate, KernelPath::Dense),
                     };
                     sim_end_ns = ns(event.end);
                     trace.spans.push(Span {

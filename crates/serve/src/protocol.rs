@@ -219,7 +219,7 @@ pub struct TraceSpan {
     pub end_ns: u64,
     /// Kernel path taken by a `simulate` span (`"dense"` or `"sparse"`).
     pub kernel: Option<String>,
-    /// Measured raster density that drove the kernel choice (0 for stages
+    /// Fraction of the layer's received neurons that fired (0 for stages
     /// where density is not meaningful).
     pub density: f32,
 }

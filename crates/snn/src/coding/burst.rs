@@ -19,7 +19,7 @@ const MAX_LANE_SPIKES: u32 = 1 << 24;
 /// * Decoding: spikes whose ISI to the previously accepted spike is at most
 ///   `isi_tolerance` contribute a full quantum `θ/N_max`; spikes that arrive
 ///   after a larger gap are treated as stragglers outside the burst and only
-///   contribute half a quantum.
+///   contribute a quarter of a quantum (`θ/(4·N_max)`).
 ///
 /// Deletion therefore removes quanta gradually (like rate coding), while
 /// jitter corrupts the ISI structure and devalues displaced spikes — burst
@@ -190,8 +190,10 @@ mod tests {
         let coding = BurstCoding::new();
         let spikes = coding.encode(1.0, &cfg);
         let clean = coding.decode(&spikes, &cfg);
-        // Push the second half of the burst far away: those spikes decode at
-        // half weight.
+        // Push the second half of the burst far away: the first displaced
+        // spike arrives after a gap wider than the ISI tolerance and counts
+        // only a quarter quantum (the spikes after it are within tolerance of
+        // it again and keep full weight).
         let jittered: Vec<u32> = spikes
             .iter()
             .map(|&t| if t >= 4 { t + 10 } else { t })

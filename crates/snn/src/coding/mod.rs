@@ -129,60 +129,33 @@ pub trait NeuralCoding: Send + Sync {
     ///
     /// **Contract:** an empty train must decode to exactly `+0.0` (bit
     /// pattern `0x0000_0000`) — a silent neuron transmits nothing.  Every
-    /// coding in this crate satisfies this, and the sparsity-aware
-    /// simulation engine relies on it to skip silent neurons without
-    /// perturbing a single output bit.
+    /// coding in this crate satisfies this, so a silent input contributes
+    /// only `w · (+0.0)` terms to the next layer's bias-seeded forward pass,
+    /// and block decodes may write the constant for empty trains without
+    /// changing a bit.
     fn decode(&self, train: &[u32], cfg: &CodingConfig) -> f32;
 
     /// Decodes every train of `raster` into `out` (cleared first, capacity
-    /// kept): `out[n] = decode(raster.train(n))` in neuron order.
-    ///
-    /// The default is already allocation-free in steady state because
-    /// [`NeuralCoding::decode`] takes the train by reference.
-    fn decode_into(&self, raster: &SpikeRaster, cfg: &CodingConfig, out: &mut Vec<f32>) {
-        out.clear();
-        out.extend((0..raster.num_neurons()).map(|n| self.decode(raster.train(n), cfg)));
-    }
-
-    /// Sparsity-aware sibling of [`NeuralCoding::decode_into`]: decodes only
-    /// the **active** (non-empty) trains, writes `+0.0` for silent neurons
-    /// (exactly what [`NeuralCoding::decode`] contracts to return for them),
-    /// and records in `active` the ascending indices of every neuron whose
-    /// decoded value is nonzero.
-    ///
-    /// The produced `out` is bit-identical to `decode_into` over the same
-    /// raster, while `active` is precisely the column set the sparse matrix
-    /// kernels may restrict themselves to — indices outside `active` carry
-    /// an exact `0.0`, whose product with any finite weight is a bitwise
-    /// no-op on the accumulator (see `nrsnn_tensor::matvec_sparse_slices`).
-    /// All three buffers are cleared first, keeping their capacity.
+    /// kept): `out[n] = decode(raster.train(n))` in neuron order, bit for
+    /// bit.
     ///
     /// `scratch` is caller-owned reusable space (the simulation workspace
     /// passes one buffer per inference): codings with a per-raster-constant
-    /// PSC structure hoist it in there — e.g. TTAS tabulates its
+    /// PSC structure hoist it in there — e.g. TTFS and TTAS tabulate their
     /// exponentially decaying kernel once per raster instead of calling
-    /// `exp` once per spike.  The default implementation ignores it.
-    fn decode_active_into(
+    /// `exp` once per spike.  The default runs the per-train loop and
+    /// ignores it; it is already allocation-free because
+    /// [`NeuralCoding::decode`] takes the train by reference.
+    fn decode_into(
         &self,
         raster: &SpikeRaster,
         cfg: &CodingConfig,
         out: &mut Vec<f32>,
-        active: &mut Vec<u32>,
-        _scratch: &mut Vec<f32>,
+        scratch: &mut Vec<f32>,
     ) {
+        let _ = scratch;
         out.clear();
-        active.clear();
-        for (n, train) in raster.iter() {
-            if train.is_empty() {
-                out.push(0.0);
-                continue;
-            }
-            let value = self.decode(train, cfg);
-            if value != 0.0 {
-                active.push(n as u32);
-            }
-            out.push(value);
-        }
+        out.extend(raster.iter().map(|(_, train)| self.decode(train, cfg)));
     }
 }
 
@@ -435,7 +408,7 @@ mod tests {
                     values.iter().map(|&v| coding.encode(v, &cfg)).collect();
                 let raster = SpikeRaster::from_trains(trains.clone(), cfg.time_steps);
                 let mut decoded = vec![9.0f32; 2];
-                coding.decode_into(&raster, &cfg, &mut decoded);
+                coding.decode_into(&raster, &cfg, &mut decoded, &mut Vec::new());
                 let reference: Vec<f32> = trains.iter().map(|t| coding.decode(t, &cfg)).collect();
                 assert_eq!(
                     decoded.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -465,9 +438,9 @@ mod tests {
         assert_eq!(CodingKind::Ttas(0).build().kind(), CodingKind::Ttas(1));
     }
 
-    /// The sparsity contract: an empty train decodes to exactly +0.0 under
-    /// every coding (not -0.0, not a denormal — bit pattern zero), so the
-    /// sparse engine may write the constant instead of calling decode.
+    /// The silent-neuron contract: an empty train decodes to exactly +0.0
+    /// under every coding (not -0.0, not a denormal — bit pattern zero), so
+    /// block decodes may write the constant instead of calling decode.
     #[test]
     fn empty_train_decodes_to_positive_zero_bits() {
         for time_steps in [1u32, 17, 128] {
@@ -490,10 +463,10 @@ mod tests {
         }
     }
 
-    /// `decode_active_into` must reproduce `decode_into` bit for bit and
-    /// report exactly the nonzero positions as active.
+    /// Block decode of a raster with silent neurons, through dirty output
+    /// and scratch buffers, must reproduce per-train `decode` bit for bit.
     #[test]
-    fn decode_active_into_matches_decode_into_and_tracks_nonzeros() {
+    fn block_decode_matches_per_train_decode_with_silent_neurons() {
         let cfg = CodingConfig::new(64, 1.0);
         for kind in [
             CodingKind::Rate,
@@ -507,26 +480,18 @@ mod tests {
             let trains: Vec<Vec<u32>> = values.iter().map(|&v| coding.encode(v, &cfg)).collect();
             let raster = SpikeRaster::from_trains(trains, cfg.time_steps);
 
-            let mut dense = vec![9.0f32; 2]; // dirty: must be reset
-            coding.decode_into(&raster, &cfg, &mut dense);
-            let mut sparse = vec![-9.0f32; 100];
-            let mut active = vec![42u32; 3];
-            let mut scratch = Vec::new();
-            coding.decode_active_into(&raster, &cfg, &mut sparse, &mut active, &mut scratch);
-
+            let mut block = vec![-9.0f32; 100]; // dirty: must be reset
+            let mut scratch = vec![7.0f32; 3]; // dirty: must be rebuilt
+            coding.decode_into(&raster, &cfg, &mut block, &mut scratch);
+            let reference: Vec<f32> = (0..raster.num_neurons())
+                .map(|n| coding.decode(raster.train(n), &cfg))
+                .collect();
             assert_eq!(
-                dense.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                sparse.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                block.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 "{}",
                 kind.label()
             );
-            let expected_active: Vec<u32> = dense
-                .iter()
-                .enumerate()
-                .filter(|(_, &v)| v != 0.0)
-                .map(|(n, _)| n as u32)
-                .collect();
-            assert_eq!(active, expected_active, "{}", kind.label());
         }
     }
 

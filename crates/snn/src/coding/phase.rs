@@ -301,38 +301,6 @@ impl NeuralCoding for PhaseCoding {
         let sum = sum8_by(train.len(), |i| self.phase_weight(train[i]));
         cfg.threshold * sum / periods
     }
-
-    fn decode_active_into(
-        &self,
-        raster: &SpikeRaster,
-        cfg: &CodingConfig,
-        out: &mut Vec<f32>,
-        active: &mut Vec<u32>,
-        _scratch: &mut Vec<f32>,
-    ) {
-        out.clear();
-        active.clear();
-        for (n, train) in raster.iter() {
-            if train.is_empty() {
-                out.push(0.0);
-                continue;
-            }
-            // Same two paths as `decode` (exact integer accumulator for
-            // realistic periods, float fold beyond), keeping the two
-            // decode entry points bit-identical by construction.
-            let value = if self.period <= MAX_EXACT_PERIOD {
-                self.scale_exact(self.weighted_sum_exact(train), cfg)
-            } else {
-                let periods = self.num_periods(cfg) as f32;
-                let sum = sum8_by(train.len(), |i| self.phase_weight(train[i]));
-                cfg.threshold * sum / periods
-            };
-            if value != 0.0 {
-                active.push(n as u32);
-            }
-            out.push(value);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -148,28 +148,16 @@ impl NeuralCoding for RateCoding {
         train.len() as f32 * cfg.threshold / cfg.time_steps as f32
     }
 
-    fn decode_into(&self, raster: &SpikeRaster, cfg: &CodingConfig, out: &mut Vec<f32>) {
-        out.clear();
-        out.extend(raster.iter().map(|(_, train)| train.len() as f32));
-        scale_ratio_with(active_backend(), out, cfg.threshold, cfg.time_steps as f32);
-    }
-
-    fn decode_active_into(
+    fn decode_into(
         &self,
         raster: &SpikeRaster,
         cfg: &CodingConfig,
         out: &mut Vec<f32>,
-        active: &mut Vec<u32>,
         _scratch: &mut Vec<f32>,
     ) {
-        self.decode_into(raster, cfg, out);
-        active.clear();
-        active.extend(
-            out.iter()
-                .enumerate()
-                .filter(|(_, &v)| v != 0.0)
-                .map(|(n, _)| n as u32),
-        );
+        out.clear();
+        out.extend(raster.iter().map(|(_, train)| train.len() as f32));
+        scale_ratio_with(active_backend(), out, cfg.threshold, cfg.time_steps as f32);
     }
 }
 

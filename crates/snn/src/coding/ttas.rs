@@ -153,21 +153,19 @@ impl NeuralCoding for TtasCoding {
         }
         // Canonical lane-blocked reduction (`sum8_by`) so this per-train
         // path stays bit-identical to the SIMD-gathered tabulated path in
-        // `decode_active_into`, whichever backend runs it.
+        // `decode_into`, whichever backend runs it.
         let sum = nrsnn_tensor::simd::sum8_by(train.len(), |i| TtfsCoding::value_at(train[i], cfg));
         (self.scale_factor(cfg) * sum).min(cfg.threshold)
     }
 
-    fn decode_active_into(
+    fn decode_into(
         &self,
         raster: &SpikeRaster,
         cfg: &CodingConfig,
         out: &mut Vec<f32>,
-        active: &mut Vec<u32>,
         scratch: &mut Vec<f32>,
     ) {
         out.clear();
-        active.clear();
         // Hoist the burst rescaling constant C_A out of the per-train loop:
         // it is a pure function of the configuration (t_a exponentials), so
         // computing it once per raster instead of once per train yields the
@@ -188,7 +186,7 @@ impl NeuralCoding for TtasCoding {
             scratch.extend((0..raster.num_steps()).map(|t| TtfsCoding::value_at(t, cfg)));
         }
         let backend = nrsnn_tensor::simd::active_backend();
-        for (n, train) in raster.iter() {
+        for (_, train) in raster.iter() {
             if train.is_empty() {
                 out.push(0.0);
                 continue;
@@ -198,11 +196,7 @@ impl NeuralCoding for TtasCoding {
             } else {
                 nrsnn_tensor::simd::sum8_by(train.len(), |i| TtfsCoding::value_at(train[i], cfg))
             };
-            let value = (scale * sum).min(cfg.threshold);
-            if value != 0.0 {
-                active.push(n as u32);
-            }
-            out.push(value);
+            out.push((scale * sum).min(cfg.threshold));
         }
     }
 }
@@ -338,9 +332,8 @@ mod tests {
         assert!(raster.total_spikes() > raster.num_steps() as usize);
 
         let mut out = Vec::new();
-        let mut active = Vec::new();
         let mut scratch = vec![7.0f32; 2]; // dirty: must be rebuilt
-        coding.decode_active_into(&raster, &cfg, &mut out, &mut active, &mut scratch);
+        coding.decode_into(&raster, &cfg, &mut out, &mut scratch);
         let reference: Vec<u32> = (0..raster.num_neurons())
             .map(|n| coding.decode(raster.train(n), &cfg).to_bits())
             .collect();
@@ -350,7 +343,7 @@ mod tests {
         );
         // A small raster takes the direct path and must agree too.
         let small = SpikeRaster::from_trains(vec![coding.encode(0.7, &cfg)], cfg.time_steps);
-        coding.decode_active_into(&small, &cfg, &mut out, &mut active, &mut scratch);
+        coding.decode_into(&small, &cfg, &mut out, &mut scratch);
         assert_eq!(
             out[0].to_bits(),
             coding.decode(small.train(0), &cfg).to_bits()

@@ -108,16 +108,14 @@ impl NeuralCoding for TtfsCoding {
         }
     }
 
-    fn decode_active_into(
+    fn decode_into(
         &self,
         raster: &SpikeRaster,
         cfg: &CodingConfig,
         out: &mut Vec<f32>,
-        active: &mut Vec<u32>,
         scratch: &mut Vec<f32>,
     ) {
         out.clear();
-        active.clear();
         // With more active trains than time steps it is cheaper to tabulate
         // `value_at` once per step than to exp once per train; below that
         // the per-train evaluation wins.  Both read the same expression, so
@@ -127,20 +125,11 @@ impl NeuralCoding for TtfsCoding {
             scratch.clear();
             scratch.extend((0..raster.num_steps()).map(|t| TtfsCoding::value_at(t, cfg)));
         }
-        for (n, train) in raster.iter() {
-            let value = match train.first() {
-                Some(&t) if tabulate => scratch[t as usize],
-                Some(&t) => TtfsCoding::value_at(t, cfg),
-                None => {
-                    out.push(0.0);
-                    continue;
-                }
-            };
-            if value != 0.0 {
-                active.push(n as u32);
-            }
-            out.push(value);
-        }
+        out.extend(raster.iter().map(|(_, train)| match train.first() {
+            Some(&t) if tabulate => scratch[t as usize],
+            Some(&t) => TtfsCoding::value_at(t, cfg),
+            None => 0.0,
+        }));
     }
 }
 

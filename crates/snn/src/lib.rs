@@ -9,21 +9,23 @@
 //!   integrate-and-fire-or-burst neuron);
 //! * DNN-to-SNN conversion with data-based threshold balancing
 //!   ([`ThresholdBalancer`], [`convert`]);
-//! * a layer-sequential clock-driven simulator ([`SnnNetwork`]) that injects
-//!   synaptic spike noise between layers through the [`SpikeTransform`] hook
-//!   (implemented by `nrsnn-noise`).
+//! * a layer-wise encode → noise → decode → analog-forward relay
+//!   ([`SnnNetwork`]) that injects synaptic spike noise between layers
+//!   through the [`SpikeTransform`] hook (implemented by `nrsnn-noise`).
 //!
 //! ## Simulation model
 //!
-//! The simulator is *layer-sequential*: each layer receives the (noisy)
-//! spike raster emitted by the previous layer over the full `T`-step window,
-//! integrates it through the coding's post-synaptic-current kernel, applies
-//! the converted weights, and re-encodes the resulting activations as the
-//! raster for the next layer.  This is the pipelined window-per-layer scheme
-//! used by conversion approaches with temporal coding (phase coding and
-//! T2FSNN assign per-layer time windows) and it preserves exactly the
-//! phenomena the paper studies: how much information a deleted or jittered
-//! spike destroys under each coding.  See `DESIGN.md` §5.
+//! The engine is a *layer-wise relay*, not a clock-driven simulator: each
+//! layer encodes its input activations as a spike raster over the full
+//! `T`-step window, the noise model corrupts that raster, the coding's
+//! post-synaptic-current kernel decodes the received trains back to
+//! activations, and the layer's dense analog forward pass (converted
+//! weights, then ReLU) produces the next layer's input.  This is the
+//! pipelined window-per-layer scheme used by conversion approaches with
+//! temporal coding (phase coding and T2FSNN assign per-layer time windows)
+//! and it preserves exactly the phenomena the paper studies: how much
+//! information a deleted or jittered spike destroys under each coding.
+//! See `docs/ARCHITECTURE.md`.
 //!
 //! ## Example
 //!
@@ -58,8 +60,7 @@ pub use config::CodingConfig;
 pub use conversion::{convert, ConversionConfig, ThresholdBalancer};
 pub use error::SnnError;
 pub use network::{
-    EvaluationSummary, IdentityTransform, SimulationOutcome, SnnLayer, SnnNetwork, SparsityPolicy,
-    SpikeTransform,
+    EvaluationSummary, IdentityTransform, SimulationOutcome, SnnLayer, SnnNetwork, SpikeTransform,
 };
 pub use neuron::{IfNeuron, IfbNeuron, ResetKind};
 pub use spike::SpikeRaster;

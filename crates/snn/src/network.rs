@@ -1,7 +1,16 @@
-//! Converted spiking networks and their clock-driven simulation.
+//! Converted spiking networks and their simulation.
 //!
-//! Two simulation paths share one arithmetic core and produce bit-identical
-//! results:
+//! The engine is a layer-wise relay, not a clock-driven simulator.  For
+//! each layer it runs four stages in order: **encode** the incoming
+//! activation vector into a spike raster (one train per neuron over the
+//! `T`-step window), apply the synaptic **noise** model to the raster,
+//! **decode** every received train through the coding's PSC kernel, and
+//! run the layer's analog **forward** pass (a dense bias-seeded mat-vec, a
+//! convolution or an average pool) on the decoded vector.  The ReLU'd
+//! forward output is the next layer's encode input; the last layer's raw
+//! output is the logits.
+//!
+//! Two simulation paths share that relay and produce bit-identical results:
 //!
 //! * the **workspace path** — [`SnnNetwork::simulate_with`] /
 //!   [`SnnNetwork::simulate_batch`] write every intermediate (rasters,
@@ -13,16 +22,6 @@
 //!   byte-for-byte equality between the two, and the `sim_throughput` bench
 //!   measures the speedup.
 //!
-//! The workspace path is additionally **sparsity-aware**: each layer decodes
-//! only the active (non-empty) spike trains and, under the default
-//! [`SparsityPolicy::AutoTuned`], switches to gather kernels that touch only the
-//! nonzero decoded activations whenever the measured density drops below the
-//! policy threshold.  Because the skipped terms are all exact `w · 0.0`
-//! products, the sparse kernels are bit-identical to the dense ones — the
-//! `sparse_throughput` bench asserts byte-equal logits before timing the
-//! speedup, which (unlike the dense engine) grows with how few spikes the
-//! coding emits and how many of them the noise deletes.
-//!
 //! [`SnnNetwork::simulate`] is a thin wrapper over a one-shot workspace, so
 //! existing callers keep their API and gain the allocation-free inner loop.
 
@@ -33,8 +32,8 @@ use std::ops::Range;
 use std::time::Instant;
 
 use nrsnn_tensor::{
-    im2col, im2col_slices, matmul_sparse_into, matmul_sparse_slices, matvec_bias_slices,
-    matvec_sparse_slices, transpose, transpose_slices, Conv2dGeometry, Pool2dGeometry, Tensor,
+    im2col, im2col_slices, matmul_sparse_into, matmul_sparse_slices, matvec_bias_slices, transpose,
+    transpose_slices, Conv2dGeometry, Pool2dGeometry, Tensor,
 };
 use rand::RngCore;
 
@@ -43,100 +42,6 @@ use crate::{
     BatchOutcome, CodingConfig, CodingScratch, NeuralCoding, Result, SimStage, SimWorkspace,
     SnnError, SpikeRaster, StageEvent,
 };
-
-/// How the simulation engine chooses between the dense and the
-/// sparsity-aware kernels for each weighted layer.
-///
-/// Both kernel families are **bit-identical** (the sparse kernels only skip
-/// terms of the form `w · 0.0`, which are bitwise no-ops on a bias-seeded
-/// accumulator — see `nrsnn_tensor::matvec_sparse_slices`), so the policy is
-/// purely a performance knob: it can never change a logit, a prediction or
-/// an RNG stream.  The default [`SparsityPolicy::AutoTuned`] measures each
-/// layer's decoded-input density per sample and picks the sparse kernel
-/// below the threshold — which is what makes simulation speed a function of
-/// the neural coding: a TTFS raster whose trains were half-deleted decodes
-/// to a half-empty activation vector and pays for only the active half.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SparsityPolicy {
-    /// The default: per layer and per sample, use the sparse kernels when
-    /// the measured input density is at most the crossover calibrated for
-    /// the **currently active SIMD backend**
-    /// ([`SparsityPolicy::max_density_for`]).  The backend is queried at
-    /// decision time, so a policy built before an
-    /// `nrsnn_tensor::simd::set_backend` call still picks the right
-    /// kernel afterwards.
-    AutoTuned,
-    /// Like [`SparsityPolicy::AutoTuned`] with an explicit, fixed
-    /// crossover: use the sparse kernels when the measured input density
-    /// (`nonzero inputs / input width`) is at most `max_density`, the
-    /// dense kernels otherwise.
-    Auto {
-        /// Density at or below which the sparse kernels are chosen.
-        max_density: f32,
-    },
-    /// Always use the dense kernels (the pre-sparsity engine, and the
-    /// baseline the `sparse_throughput` bench compares against).
-    Dense,
-    /// Always use the sparse kernels, whatever the density (used by the
-    /// bit-identity tests and the allocation regression test).
-    Sparse,
-}
-
-impl SparsityPolicy {
-    /// [`SparsityPolicy::AutoTuned`] crossover on the scalar backend.
-    ///
-    /// The sparse matvec performs `d·n` register multiply-adds per row
-    /// against the dense kernel's `n`, but the dense kernel's lane-blocked
-    /// loop auto-vectorises even when built for the "scalar" backend, so
-    /// the measured crossover (sparse_throughput bench, MNIST-like MLP)
-    /// sits near `d = 0.3`: 1.0x at d=0.30, ~1.4-1.8x at d=0.12, ~1.9x at
-    /// d=0.06.  (Before the dense kernels were vectorised this constant
-    /// was 0.75 — the crossover is a property of the dense engine's speed,
-    /// and re-measuring it after the SIMD rewrite moved it down.)
-    pub const SCALAR_MAX_DENSITY: f32 = 0.3;
-
-    /// [`SparsityPolicy::AutoTuned`] crossover on vector backends
-    /// (SSE2/AVX2), where the dense kernels are another 2-3x faster while
-    /// the sparse gather loop — deliberately scalar, see
-    /// `nrsnn_tensor::matvec_sparse_slices` — is not, pushing the
-    /// crossover down to roughly one active input in ten.
-    pub const VECTOR_MAX_DENSITY: f32 = 0.1;
-
-    /// The crossover density [`SparsityPolicy::AutoTuned`] applies on the
-    /// given SIMD backend.
-    pub fn max_density_for(backend: nrsnn_tensor::simd::SimdBackend) -> f32 {
-        if backend.is_vector() {
-            SparsityPolicy::VECTOR_MAX_DENSITY
-        } else {
-            SparsityPolicy::SCALAR_MAX_DENSITY
-        }
-    }
-
-    /// The default policy: [`SparsityPolicy::AutoTuned`] auto-selection
-    /// with the crossover calibrated to the active SIMD backend.
-    pub fn auto() -> Self {
-        SparsityPolicy::AutoTuned
-    }
-
-    /// Whether a layer with the given measured input density should take
-    /// the sparse kernels under this policy.
-    fn use_sparse(&self, density: f32) -> bool {
-        match self {
-            SparsityPolicy::AutoTuned => {
-                density <= SparsityPolicy::max_density_for(nrsnn_tensor::simd::active_backend())
-            }
-            SparsityPolicy::Auto { max_density } => density <= *max_density,
-            SparsityPolicy::Dense => false,
-            SparsityPolicy::Sparse => true,
-        }
-    }
-}
-
-impl Default for SparsityPolicy {
-    fn default() -> Self {
-        SparsityPolicy::auto()
-    }
-}
 
 /// One layer of a converted spiking network.
 #[derive(Debug, Clone, PartialEq)]
@@ -185,11 +90,6 @@ impl SnnLayer {
         }
     }
 
-    /// Returns `true` if the layer carries synaptic weights.
-    pub fn has_weights(&self) -> bool {
-        !matches!(self, SnnLayer::AvgPool { .. })
-    }
-
     /// Multiplies the layer's synaptic weights by `factor` (weight scaling).
     pub fn scale_weights(&mut self, factor: f32) {
         match self {
@@ -204,9 +104,8 @@ impl SnnLayer {
     /// ReLU left to the caller.
     ///
     /// Weighted layers seed their accumulators from the bias and add the
-    /// input terms in ascending index order — the exact operation order of
-    /// the dense *and* sparse workspace kernels, so all three simulation
-    /// paths stay bit-identical.
+    /// input terms in the same order as the workspace kernels, so the
+    /// reference and workspace simulation paths stay bit-identical.
     fn forward_analog(&self, input: &[f32]) -> Result<Vec<f32>> {
         match self {
             SnnLayer::Linear { weights, bias } => {
@@ -339,45 +238,6 @@ impl SnnLayer {
             }
         }
     }
-
-    /// Sparsity-aware sibling of [`SnnLayer::forward_analog_into`]: `active`
-    /// holds the ascending indices of the nonzero entries of `input`, and
-    /// fully connected layers restrict their dot products to those columns
-    /// (`O(m·|active|)` instead of `O(m·n)`).
-    ///
-    /// Bit-identical to the dense pass by the sparse-kernel contract: the
-    /// skipped terms are all `w · 0.0`, bitwise no-ops on the bias-seeded
-    /// accumulator.  Convolutions and pooling delegate to the dense pass —
-    /// the convolution's patch-matrix kernel already skips exact-zero
-    /// activations element-wise, so its FLOPs scale with `|active|` either
-    /// way.
-    fn forward_sparse_into(
-        &self,
-        input: &[f32],
-        active: &[u32],
-        scratch: &mut ConvScratch,
-        out: &mut Vec<f32>,
-    ) {
-        match self {
-            SnnLayer::Linear { weights, bias } => {
-                let (m, n) = (weights.dims()[0], weights.dims()[1]);
-                out.clear();
-                out.resize(m, 0.0);
-                matvec_sparse_slices(
-                    weights.as_slice(),
-                    m,
-                    n,
-                    input,
-                    active,
-                    bias.as_slice(),
-                    out,
-                );
-            }
-            SnnLayer::Conv { .. } | SnnLayer::AvgPool { .. } => {
-                self.forward_analog_into(input, scratch, out);
-            }
-        }
-    }
 }
 
 /// A transformation applied to every layer-to-layer spike raster during
@@ -482,13 +342,11 @@ pub struct SimulationOutcome {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnnNetwork {
     layers: Vec<SnnLayer>,
-    sparsity: SparsityPolicy,
 }
 
 impl SnnNetwork {
     /// Creates a network after validating that consecutive layer widths
-    /// match.  The simulation engine starts on the default
-    /// [`SparsityPolicy::auto`]; see [`SnnNetwork::with_sparsity`].
+    /// match.
     ///
     /// # Errors
     /// Returns [`SnnError::Conversion`] for an empty chain or mismatched
@@ -508,25 +366,7 @@ impl SnnNetwork {
                 )));
             }
         }
-        Ok(SnnNetwork {
-            layers,
-            sparsity: SparsityPolicy::default(),
-        })
-    }
-
-    /// Sets the kernel-selection policy of the simulation engine (builder
-    /// style).  Purely a performance knob: every policy produces
-    /// bit-identical results, as pinned by the `workspace_bit_identity`
-    /// integration tests.
-    #[must_use]
-    pub fn with_sparsity(mut self, sparsity: SparsityPolicy) -> Self {
-        self.sparsity = sparsity;
-        self
-    }
-
-    /// The kernel-selection policy the simulation engine runs under.
-    pub fn sparsity(&self) -> SparsityPolicy {
-        self.sparsity
+        Ok(SnnNetwork { layers })
     }
 
     /// The layers of the network.
@@ -561,9 +401,15 @@ impl SnnNetwork {
     /// and by the conversion sanity checks.
     ///
     /// # Errors
-    /// Returns [`SnnError::InputMismatch`] for a wrong input width.
+    /// Returns [`SnnError::InvalidConfig`] if `index >= num_layers()` and
+    /// [`SnnError::InputMismatch`] for a wrong input width.
     pub fn analog_forward_layer(&self, index: usize, input: &[f32]) -> Result<Vec<f32>> {
-        let layer = &self.layers[index];
+        let layer = self.layers.get(index).ok_or_else(|| {
+            SnnError::InvalidConfig(format!(
+                "layer index {index} out of range for a {}-layer network",
+                self.layers.len()
+            ))
+        })?;
         if input.len() != layer.input_width() {
             return Err(SnnError::InputMismatch {
                 expected: layer.input_width(),
@@ -823,19 +669,15 @@ impl SnnNetwork {
         ws: &mut SimWorkspace,
     ) -> BatchOutcome {
         let num_layers = self.layers.len();
-        // Grow (never shrink) the per-layer raster and active-index pools,
-        // so buffers reach a fixed point and later samples allocate nothing.
+        // Grow (never shrink) the per-layer raster pools, so buffers reach a
+        // fixed point and later samples allocate nothing.
         if ws.rasters.len() < num_layers {
             ws.rasters.resize_with(num_layers, SpikeRaster::default);
         }
         if ws.received.len() < num_layers {
             ws.received.resize_with(num_layers, SpikeRaster::default);
         }
-        if ws.active.len() < num_layers {
-            ws.active.resize_with(num_layers, Vec::new);
-        }
         ws.spikes_per_layer.clear();
-        ws.density_per_layer.clear();
         ws.stage_events.clear();
         // Stage tracing piggybacks on the phase boundaries: each event ends
         // where the next begins, so the events tile the simulation exactly
@@ -856,14 +698,7 @@ impl SnnNetwork {
             &mut ws.rasters[0],
             &mut ws.encode_scratch,
         );
-        stage_mark(
-            &mut ws.stage_events,
-            &mut mark,
-            SimStage::Encode,
-            0,
-            false,
-            0.0,
-        );
+        stage_mark(&mut ws.stage_events, &mut mark, SimStage::Encode, 0, 0.0);
         // Skipping an identity transform is exact: it would neither change
         // the raster nor consume randomness (see SpikeTransform::is_identity).
         let skip_noise = noise.is_identity();
@@ -880,57 +715,34 @@ impl SnnNetwork {
                     &mut mark,
                     SimStage::Noise,
                     index as u32,
-                    false,
                     0.0,
                 );
                 &ws.received[index]
             };
             ws.spikes_per_layer.push(received.total_spikes());
+            // The activity fraction is trace data only; the untraced path
+            // skips the scan.
+            let density = if mark.is_some() {
+                received.density()
+            } else {
+                0.0
+            };
 
-            // Auto kernel selection on the raster's measured density (the
-            // fraction of neurons that fired at all — the active set the
-            // raster tracks).  Either branch produces bit-identical
-            // activations: the sparse branch only skips decoding silent
-            // trains (which decode to exactly +0.0) and `w · 0.0` product
-            // terms, so this is purely a speed decision.
-            let density = received.density();
-            ws.density_per_layer.push(density);
-            // Both branches decode through `decode_active_into` — its `out`
-            // is bit-identical to `decode_into` by contract, and codings
-            // with a tabulated PSC kernel (TTAS/TTFS/phase) amortise it
-            // there, which the dense branch profits from too.  The branch
-            // only decides which matrix kernels consume the activations.
-            let active = &mut ws.active[index];
-            coding.decode_active_into(
-                received,
-                cfg,
-                &mut ws.decoded,
-                active,
-                &mut ws.decode_scratch,
-            );
+            // Integrate the received trains through the coding's PSC kernel.
+            coding.decode_into(received, cfg, &mut ws.decoded, &mut ws.decode_scratch);
             stage_mark(
                 &mut ws.stage_events,
                 &mut mark,
                 SimStage::Decode,
                 index as u32,
-                false,
                 0.0,
             );
-            let sparse = layer.has_weights() && self.sparsity.use_sparse(density);
-            if sparse {
-                // Sparse branch: the gather kernels restrict themselves to
-                // the nonzero column set collected during the decode.
-                layer.forward_sparse_into(&ws.decoded, active, &mut ws.conv, &mut ws.activation);
-            } else {
-                // Dense branch: scan every column.
-                layer.forward_analog_into(&ws.decoded, &mut ws.conv, &mut ws.activation);
-            }
+            layer.forward_analog_into(&ws.decoded, &mut ws.conv, &mut ws.activation);
             stage_mark(
                 &mut ws.stage_events,
                 &mut mark,
                 SimStage::Forward,
                 index as u32,
-                sparse,
                 density,
             );
             let is_last = index + 1 == num_layers;
@@ -950,7 +762,6 @@ impl SnnNetwork {
                     &mut mark,
                     SimStage::Encode,
                     index as u32 + 1,
-                    false,
                     0.0,
                 );
             }
@@ -1062,7 +873,6 @@ fn stage_mark(
     mark: &mut Option<Instant>,
     stage: SimStage,
     layer: u32,
-    sparse: bool,
     density: f32,
 ) {
     if let Some(start) = *mark {
@@ -1072,7 +882,7 @@ fn stage_mark(
             layer,
             start,
             end,
-            sparse,
+            sparse: false,
             density,
         });
         *mark = Some(end);
@@ -1129,6 +939,18 @@ mod tests {
         ];
         assert!(SnnNetwork::new(bad).is_err());
         assert!(SnnNetwork::new(vec![]).is_err());
+    }
+
+    #[test]
+    fn analog_forward_layer_rejects_out_of_range_index() {
+        let net = toy_network();
+        assert!(net.analog_forward_layer(1, &[0.5, 0.5]).is_ok());
+        for index in [2, usize::MAX] {
+            assert!(matches!(
+                net.analog_forward_layer(index, &[0.5, 0.5]),
+                Err(SnnError::InvalidConfig(_))
+            ));
+        }
     }
 
     #[test]
@@ -1402,10 +1224,12 @@ mod tests {
         }
         for e in events {
             assert!(e.end >= e.start);
+            assert!(!e.sparse, "the engine has one dense kernel");
             if e.stage == SimStage::Forward {
-                assert_eq!(e.density, traced_ws.density_per_layer()[e.layer as usize]);
+                // Both neurons of both layers fire (0.7 and 0.3 pass the
+                // identity first layer unchanged).
+                assert_eq!(e.density, 1.0);
             } else {
-                assert!(!e.sparse);
                 assert_eq!(e.density, 0.0);
             }
         }

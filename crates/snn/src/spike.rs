@@ -15,10 +15,10 @@ use serde::{Deserialize, Serialize};
 /// what makes the different neural codings differ in their robustness to
 /// spike deletion and jitter.
 ///
-/// A neuron with a non-empty train is *active*; the sparsity-aware
-/// simulation engine uses the active set (see
-/// [`SpikeRaster::num_active_trains`] / [`SpikeRaster::density`]) to skip
-/// work that empty trains cannot contribute.
+/// A neuron with a non-empty train is *active*; the active set (see
+/// [`SpikeRaster::num_active_trains`] / [`SpikeRaster::density`]) sizes the
+/// wire format's sparse raster encoding and is reported per layer in the
+/// simulation's stage trace.
 ///
 /// ```
 /// use nrsnn_snn::SpikeRaster;
@@ -89,9 +89,12 @@ impl SpikeRaster {
         self.trains.iter().filter(|t| !t.is_empty()).count()
     }
 
-    /// Fraction of neurons that fire at least once — the activity measure
-    /// the sparsity-aware simulation engine selects its kernels by.  An
-    /// empty raster reports a density of `1.0` (nothing can be skipped).
+    /// Fraction of neurons that fire at least once — the per-layer activity
+    /// the simulation's stage trace reports.  It is a measurement only: the
+    /// engine runs one dense forward kernel whatever the density, because a
+    /// density-selected sparse kernel ran at only 0.89–1.14x of the dense
+    /// one across every coding and deletion level on AVX2.  An empty raster
+    /// reports a density of `1.0`.
     pub fn density(&self) -> f32 {
         if self.trains.is_empty() {
             return 1.0;
@@ -302,7 +305,7 @@ mod tests {
         assert!(!r.is_active(1));
         assert_eq!(r.num_active_trains(), 2);
         assert!((r.density() - 0.5).abs() < 1e-6);
-        // Empty rasters report full density: nothing can be skipped.
+        // Empty rasters report full density.
         assert_eq!(SpikeRaster::new(0, 16).density(), 1.0);
     }
 

@@ -1,8 +1,9 @@
 //! Reusable simulation scratch: the [`SimWorkspace`] threaded through the
 //! batched inference engine.
 //!
-//! One clock-driven SNN inference needs, per layer, a spike raster, a noisy
-//! copy of it, a decoded activation vector, a dense output vector and — for
+//! One SNN inference relays every layer through encode → noise → decode →
+//! analog forward, and needs per layer a spike raster, a noisy copy of it,
+//! a decoded activation vector, a dense output vector and — for
 //! convolution layers — an `im2col` patch matrix, a transposed kernel bank
 //! and their product.  The original `SnnNetwork::simulate` allocated all of
 //! these afresh on every call, which dominated the cost of the paper's
@@ -66,7 +67,7 @@ pub enum SimStage {
     Noise,
     /// Spike-to-analog PSC decode of a received raster.
     Decode,
-    /// A layer's forward pass (dense or sparse kernel).
+    /// A layer's dense analog forward pass.
     Forward,
 }
 
@@ -87,11 +88,12 @@ pub struct StageEvent {
     pub start: Instant,
     /// Phase end.
     pub end: Instant,
-    /// For [`SimStage::Forward`]: whether the sparse gather kernel was
-    /// taken; `false` otherwise.
+    /// Always `false`: every layer runs the dense forward kernel.  The
+    /// field stays so consumers that report a sparse-kernel fraction (the
+    /// benchmark's `tensor.sparse_frac`) keep reading a well-defined `0`.
     pub sparse: bool,
-    /// For [`SimStage::Forward`]: the measured raster density the kernel
-    /// decision saw; `0.0` otherwise.
+    /// For [`SimStage::Forward`]: the fraction of the layer's received
+    /// neurons that fired ([`SpikeRaster::density`]); `0.0` otherwise.
     pub density: f32,
 }
 
@@ -128,25 +130,15 @@ pub struct SimWorkspace {
     pub(crate) received: Vec<SpikeRaster>,
     /// PSC-decoded activations entering the current layer.
     pub(crate) decoded: Vec<f32>,
-    /// Per-layer active-index scratch: `active[i]` holds the ascending
-    /// indices of the nonzero entries of layer `i`'s decoded input — the
-    /// column set the sparse kernels restrict themselves to.  Per layer
-    /// (like the rasters) so every buffer reaches a fixed capacity after
-    /// warm-up.
-    pub(crate) active: Vec<Vec<u32>>,
     /// Reusable decode scratch handed to
-    /// [`crate::NeuralCoding::decode_active_into`] (e.g. TTAS tabulates its
-    /// PSC kernel in here once per raster instead of exp-ing per spike).
+    /// [`crate::NeuralCoding::decode_into`] (e.g. TTAS tabulates its PSC
+    /// kernel in here once per raster instead of exp-ing per spike).
     pub(crate) decode_scratch: Vec<f32>,
     /// Reusable SoA scratch handed to
     /// [`crate::NeuralCoding::encode_raster_into`]: the lane-blocked
     /// encoders compute per-neuron counts/ratios/bit patterns in here 8
     /// lanes at a time before materialising the spike trains.
     pub(crate) encode_scratch: CodingScratch,
-    /// Measured input density (`active.len() / input_width`) of each layer
-    /// in the most recent simulation — what the auto kernel selection
-    /// compared against its threshold.
-    pub(crate) density_per_layer: Vec<f32>,
     /// Dense output of the current layer; after a simulation this holds the
     /// logits of the output layer.
     pub(crate) activation: Vec<f32>,
@@ -194,16 +186,14 @@ impl SimWorkspace {
         ws.encode_scratch.lanes.reserve(max_width);
         ws.encode_scratch.bits.reserve(max_width);
         ws.spikes_per_layer.reserve(network.num_layers());
-        ws.density_per_layer.reserve(network.num_layers());
-        // One raster pair and one active-index buffer per layer, each sized
-        // for that layer's input width; the per-train spike buffers still
-        // grow lazily on the first sample.
+        // One raster pair per layer, each sized for that layer's input
+        // width; the per-train spike buffers still grow lazily on the first
+        // sample.
         for layer in network.layers() {
             ws.rasters
                 .push(SpikeRaster::new(layer.input_width(), cfg.time_steps));
             ws.received
                 .push(SpikeRaster::new(layer.input_width(), cfg.time_steps));
-            ws.active.push(Vec::with_capacity(layer.input_width()));
         }
         ws
     }
@@ -218,13 +208,6 @@ impl SimWorkspace {
     /// simulation.
     pub fn spikes_per_layer(&self) -> &[usize] {
         &self.spikes_per_layer
-    }
-
-    /// Measured decoded-input density per layer (input layer first) of the
-    /// most recent simulation — the activity fractions the engine's
-    /// [`crate::SparsityPolicy`] compared against its threshold.
-    pub fn density_per_layer(&self) -> &[f32] {
-        &self.density_per_layer
     }
 
     /// Enables or disables per-phase stage timing. When enabled, every

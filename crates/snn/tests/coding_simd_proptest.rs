@@ -7,9 +7,9 @@
 //! `encode_into` path over adversarial widths (0, 1, lane−1, lane, lane+1,
 //! non-multiples of 8) and adversarial activations (signed zeros,
 //! subnormals, NaN, infinities, exact `0.0`/`1.0`, values a few ULP around
-//! the clipping threshold).  The decode half pins `decode_into` /
-//! `decode_active_into` against per-train `decode`, including the
-//! empty-train `+0.0` contract, per coding and per ISA.  This file is the
+//! the clipping threshold).  The decode half pins block `decode_into`
+//! against per-train `decode`, including the empty-train `+0.0` contract,
+//! per coding and per ISA.  This file is the
 //! coding-layer sibling of `crates/tensor/tests/simd_kernel_proptest.rs`
 //! (kernel level) and `tests/workspace_bit_identity.rs` (whole pipelines).
 
@@ -187,9 +187,8 @@ fn perturb(raster: &SpikeRaster, rng: &mut TestRng) -> SpikeRaster {
     out
 }
 
-/// Block decode (`decode_into` and `decode_active_into`) on every ISA must
-/// equal the per-train `decode` bit for bit — including on noise-perturbed
-/// trains — and `active` must list exactly the nonzero decoded indices.
+/// Block decode (`decode_into`) on every ISA must equal the per-train
+/// `decode` bit for bit — including on noise-perturbed trains.
 #[test]
 fn block_decode_every_isa_matches_per_train_decode() {
     let _guard = backend_guard();
@@ -198,7 +197,6 @@ fn block_decode_every_isa_matches_per_train_decode() {
     let all = codings();
     let isas = available_backends();
     let mut decoded = Vec::new();
-    let mut active = Vec::new();
     let mut scratch = Vec::new();
     let mut encode_scratch = CodingScratch::new();
     for case in 0..CASES {
@@ -216,24 +214,11 @@ fn block_decode_every_isa_matches_per_train_decode() {
             let reference: Vec<f32> = (0..width)
                 .map(|n| coding.decode(raster.train(n), &cfg))
                 .collect();
-            let expected_active: Vec<u32> = reference
-                .iter()
-                .enumerate()
-                .filter(|(_, &v)| v != 0.0)
-                .map(|(n, _)| n as u32)
-                .collect();
             for &isa in &isas {
                 set_backend(isa);
                 let context = format!("{isa:?} {} T={}", coding.name(), cfg.time_steps);
-                coding.decode_into(&raster, &cfg, &mut decoded);
+                coding.decode_into(&raster, &cfg, &mut decoded, &mut scratch);
                 assert_eq!(bits(&decoded), bits(&reference), "{context}: decode_into");
-                coding.decode_active_into(&raster, &cfg, &mut decoded, &mut active, &mut scratch);
-                assert_eq!(
-                    bits(&decoded),
-                    bits(&reference),
-                    "{context}: decode_active_into"
-                );
-                assert_eq!(active, expected_active, "{context}: active set");
             }
         }
     }
@@ -241,14 +226,12 @@ fn block_decode_every_isa_matches_per_train_decode() {
 }
 
 /// The empty-train `+0.0` contract per coding, per ISA: a silent neuron
-/// decodes to bit pattern `0x0000_0000` through every decode entry point,
-/// and never lands in the active set.
+/// decodes to bit pattern `0x0000_0000` through both decode entry points.
 #[test]
 fn empty_trains_decode_to_positive_zero_on_every_isa() {
     let _guard = backend_guard();
     let previous = set_backend(SimdBackend::Scalar);
     let mut decoded = Vec::new();
-    let mut active = Vec::new();
     let mut scratch = Vec::new();
     for coding in &codings() {
         for &t in TIME_STEPS {
@@ -263,17 +246,11 @@ fn empty_trains_decode_to_positive_zero_on_every_isa() {
                     0,
                     "{context}: decode(&[])"
                 );
-                coding.decode_into(&raster, &cfg, &mut decoded);
+                coding.decode_into(&raster, &cfg, &mut decoded, &mut scratch);
                 assert!(
                     decoded.iter().all(|v| v.to_bits() == 0),
                     "{context}: decode_into"
                 );
-                coding.decode_active_into(&raster, &cfg, &mut decoded, &mut active, &mut scratch);
-                assert!(
-                    decoded.iter().all(|v| v.to_bits() == 0),
-                    "{context}: decode_active_into"
-                );
-                assert!(active.is_empty(), "{context}: active set");
             }
         }
     }

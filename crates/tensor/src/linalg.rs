@@ -59,46 +59,16 @@ pub fn transpose_slices(a: &[f32], m: usize, n: usize, out: &mut [f32]) {
     }
 }
 
-/// Dense sibling of [`matvec_sparse_slices`]: computes
-/// `out[i] = (bias[i] + 0.0) + Σ_j a[i,j]·x[j]` over **all** columns in the
+/// Bias-seeded matrix–vector product: computes
+/// `out[i] = (bias[i] + 0.0) + Σ_j a[i,j]·x[j]` over all columns in the
 /// canonical lane-blocked order, with the bias canonicalised (`-0.0` becomes
-/// `+0.0` — the signed-zero corner of the sparse/dense bit-identity
-/// contract; see the `seed_from_bias` notes in [`crate::simd`]'s kernels)
-/// and added to the reduced sum.
+/// `+0.0`; see the `seed_from_bias` notes in [`crate::simd`]'s kernels) and
+/// added to the reduced sum.
 ///
 /// # Panics
 /// Asserts the slice lengths before touching any data.
 pub fn matvec_bias_slices(a: &[f32], m: usize, n: usize, x: &[f32], bias: &[f32], out: &mut [f32]) {
     simd::matvec_bias_slices_with(active_backend(), a, m, n, x, bias, out);
-}
-
-/// Sparsity-aware matrix–vector product: computes
-/// `out[i] = (bias[i] + 0.0) + Σ_j a[i,j]·x[j]` while touching only the
-/// `active` columns, scatter-accumulating each product into its canonical
-/// lane `j % 8` (`active` must hold the **ascending** indices of the
-/// nonzero entries of `x`, without duplicates).
-///
-/// A skipped column contributes only terms `a[i,j] · (±0.0)` to lane
-/// accumulators seeded `+0.0`; an IEEE-754 add can only produce `-0.0` from
-/// two `-0.0` operands, so those lanes can never be `-0.0` and every
-/// skipped term is a bitwise no-op.  The result is therefore
-/// **bit-identical** to [`matvec_bias_slices`] whenever `active` contains
-/// every `j` with `x[j] != 0.0` and the matrix is finite.  Cost is
-/// `O(m·|active|)` instead of `O(m·n)`.
-///
-/// # Panics
-/// Asserts the slice lengths and that `active` indices are in range before
-/// touching any data.
-pub fn matvec_sparse_slices(
-    a: &[f32],
-    m: usize,
-    n: usize,
-    x: &[f32],
-    active: &[u32],
-    bias: &[f32],
-    out: &mut [f32],
-) {
-    simd::matvec_sparse_slices_with(active_backend(), a, m, n, x, active, bias, out);
 }
 
 /// Sparsity-aware matrix product with a per-column bias: computes
@@ -108,8 +78,9 @@ pub fn matvec_sparse_slices(
 ///
 /// The accumulators are seeded from the canonicalised bias (`b_j + 0.0`);
 /// skipped terms contribute `(±0.0)·b[k,j] ∈ {+0.0, -0.0}` and are
-/// therefore bitwise no-ops by the same argument as
-/// [`matvec_sparse_slices`] (given finite `b`).  An empty `bias` means "no
+/// therefore bitwise no-ops on accumulators that can never be `-0.0`
+/// (given finite `b`; see the `seed_from_bias` notes in [`crate::simd`]'s
+/// kernels).  An empty `bias` means "no
 /// bias" (all accumulators seed from `+0.0`), in which case this is
 /// exactly [`matmul_slices`].
 ///
@@ -130,43 +101,6 @@ pub fn matmul_sparse_slices(
     } else {
         simd::matmul_sparse_slices_with(active_backend(), a, m, k, b, n, bias, out);
     }
-}
-
-/// [`matvec_sparse_slices`] over tensors into a reusable buffer: clears
-/// `out`, resizes it to `m` (keeping its capacity) and writes
-/// `(bias + 0.0) + a[:, active]·x[active]`.
-///
-/// # Errors
-/// Returns [`TensorError::RankMismatch`] / [`TensorError::ShapeMismatch`] for
-/// invalid operands or an out-of-range active index.
-pub fn matvec_sparse_into(
-    a: &Tensor,
-    x: &Tensor,
-    active: &[u32],
-    bias: &Tensor,
-    out: &mut Vec<f32>,
-) -> Result<()> {
-    ensure_rank(a, 2, "matvec_sparse")?;
-    ensure_rank(x, 1, "matvec_sparse")?;
-    ensure_rank(bias, 1, "matvec_sparse")?;
-    let (m, n) = (a.dims()[0], a.dims()[1]);
-    if x.len() != n || bias.len() != m || active.iter().any(|&j| (j as usize) >= n) {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims().to_vec(),
-            rhs: x.dims().to_vec(),
-            op: "matvec_sparse",
-        });
-    }
-    matvec_sparse_slices(
-        a.as_slice(),
-        m,
-        n,
-        x.as_slice(),
-        active,
-        bias.as_slice(),
-        reuse(out, m),
-    );
-    Ok(())
 }
 
 /// [`matmul_sparse_slices`] over tensors into a reusable buffer: clears
@@ -457,62 +391,21 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
-    fn active_indices(x: &[f32]) -> Vec<u32> {
-        x.iter()
-            .enumerate()
-            .filter(|(_, &v)| v != 0.0)
-            .map(|(j, _)| j as u32)
-            .collect()
-    }
-
-    #[test]
-    fn sparse_matvec_is_bit_identical_to_dense_bias_seeded() {
-        // Mixed magnitudes, negative weights and exact zeros (both signs) in
-        // the input: the skipped terms cover +0.0 and -0.0 contributions.
-        let a = Tensor::from_vec(
-            vec![
-                1.5, -2.25, 0.5, -0.75, 3.0, -1.0, 0.125, 2.0, -0.5, 1.0, -4.0, 0.25,
-            ],
-            &[3, 4],
-        )
-        .unwrap();
-        let xs: Vec<Vec<f32>> = vec![
-            vec![0.3, 0.0, -1.2, 0.0],
-            vec![0.0, -0.0, 0.0, -0.0], // all-zero input: result must be exactly the seed
-            vec![1e-20, 0.0, -1e-20, 2.0],
-            vec![0.5, 0.25, 0.125, 1.0], // fully dense input
-        ];
-        let biases = [
-            vec![0.1f32, -0.2, 0.0],
-            vec![-0.0f32, -0.0, -0.0], // the signed-zero corner
-            vec![0.0f32, 0.0, 0.0],
-        ];
-        for x in &xs {
-            let active = active_indices(x);
-            for bias in &biases {
-                let mut dense = vec![9.0f32; 3];
-                let mut sparse = vec![-9.0f32; 3];
-                matvec_bias_slices(a.as_slice(), 3, 4, x, bias, &mut dense);
-                matvec_sparse_slices(a.as_slice(), 3, 4, x, &active, bias, &mut sparse);
-                assert_eq!(bits(&dense), bits(&sparse), "x {x:?} bias {bias:?}");
-            }
-        }
-    }
-
     #[test]
     fn negative_zero_bias_is_canonicalised_identically_on_both_paths() {
-        // With a raw -0.0 seed the dense kernel's first skipped +0.0 term
-        // would flip the accumulator to +0.0 while the sparse kernel kept
-        // -0.0; seed_from_bias canonicalises the seed so both return +0.0.
+        // A -0.0 bias over an all-zero input must come out +0.0 from both
+        // bias-seeded kernels: the mat-vec adds a +0.0 dot product to the
+        // seed, and the mat-mul skips every zero term and returns the seed
+        // itself, which seed_from_bias has canonicalised to +0.0.
         let a = Tensor::from_vec(vec![2.0, 3.0], &[1, 2]).unwrap();
         let x = [0.0f32, 0.0];
         let bias = [-0.0f32];
         let mut dense = [f32::NAN];
-        let mut sparse = [f32::NAN];
         matvec_bias_slices(a.as_slice(), 1, 2, &x, &bias, &mut dense);
-        matvec_sparse_slices(a.as_slice(), 1, 2, &x, &[], &bias, &mut sparse);
         assert_eq!(dense[0].to_bits(), 0.0f32.to_bits());
-        assert_eq!(sparse[0].to_bits(), 0.0f32.to_bits());
+        let mut skipped = [f32::NAN];
+        matmul_sparse_slices(&x, 1, 2, &[2.0, 3.0], 1, &bias, &mut skipped);
+        assert_eq!(skipped[0].to_bits(), 0.0f32.to_bits());
     }
 
     #[test]
@@ -551,23 +444,6 @@ mod tests {
         let x = Tensor::from_slice(&[0.5, 0.0, -1.0]);
         let bias = Tensor::from_slice(&[0.25, -0.5]);
         let mut out = Vec::new();
-        matvec_sparse_into(&a, &x, &[0, 2], &bias, &mut out).unwrap();
-        let mut reference = vec![0.0f32; 2];
-        matvec_bias_slices(
-            a.as_slice(),
-            2,
-            3,
-            x.as_slice(),
-            bias.as_slice(),
-            &mut reference,
-        );
-        assert_eq!(bits(&out), bits(&reference));
-
-        // Out-of-range active index, wrong bias width, wrong ranks.
-        assert!(matvec_sparse_into(&a, &x, &[3], &bias, &mut out).is_err());
-        assert!(matvec_sparse_into(&a, &x, &[0], &x, &mut out).is_err());
-        assert!(matvec_sparse_into(&x, &x, &[0], &bias, &mut out).is_err());
-
         let b = Tensor::from_vec(vec![1.0, 0.0, -1.0, 2.0, 0.5, 1.5], &[3, 2]).unwrap();
         let col_bias = Tensor::from_slice(&[1.0, -1.0]);
         matmul_sparse_into(&a, &b, &col_bias, &mut out).unwrap();
@@ -582,9 +458,11 @@ mod tests {
             &mut reference,
         );
         assert_eq!(bits(&out), bits(&reference));
+        // Inner-dimension mismatch, wrong bias width, wrong ranks.
         assert!(matmul_sparse_into(&a, &a, &col_bias, &mut out).is_err());
         assert!(matmul_sparse_into(&a, &b, &bias, &mut out).is_ok()); // len-2 bias fits n=2
         assert!(matmul_sparse_into(&a, &b, &x, &mut out).is_err()); // len-3 bias does not
+        assert!(matmul_sparse_into(&x, &b, &col_bias, &mut out).is_err());
     }
 
     #[test]

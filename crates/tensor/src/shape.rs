@@ -84,16 +84,6 @@ impl Shape {
         let strides = self.strides();
         Ok(index.iter().zip(&strides).map(|(i, s)| i * s).sum())
     }
-
-    /// Returns `true` if this shape describes a matrix (rank 2).
-    pub fn is_matrix(&self) -> bool {
-        self.rank() == 2
-    }
-
-    /// Returns `true` if this shape describes a vector (rank 1).
-    pub fn is_vector(&self) -> bool {
-        self.rank() == 1
-    }
 }
 
 impl fmt::Display for Shape {

@@ -16,14 +16,14 @@
 //! x86 instantiations additionally require the matching CPU features
 //! (guaranteed by runtime dispatch).
 
-use super::vec::{reduce8, F32x8, BLOCK};
+use super::vec::{F32x8, BLOCK};
 
 /// Canonicalises a bias value used to seed an accumulator: `b + 0.0`
 /// flushes `-0.0` to `+0.0` and leaves every other value (including NaN
 /// payloads produced upstream) bitwise unchanged.
 ///
 /// Seeding from `+0.0` rather than `-0.0` is what makes "skip the zero
-/// terms" a *bitwise* no-op on the sparse paths: under IEEE-754
+/// terms" a *bitwise* no-op in [`matmul_generic`]: under IEEE-754
 /// round-to-nearest, `acc + (w * ±0.0)` can only differ from `acc` when
 /// `acc` is `-0.0` and the product is `+0.0` (or vice versa), and a lane
 /// seeded `+0.0` can never become `-0.0` again (an IEEE add yields `-0.0`
@@ -86,116 +86,7 @@ pub(crate) unsafe fn matvec_generic<V: F32x8>(
     }
 }
 
-/// Groups the lane-blocked body of an `active` index list by lane
-/// (`j % 8`), preserving the ascending order inside each lane, and hands
-/// the grouped indices plus the 9 group boundaries to `f`.
-///
-/// A counting sort into a thread-local scratch buffer: the buffer grows to
-/// the largest `|active|` seen on this thread and is then reused, so the
-/// simulation hot path stays allocation-free in the steady state.
-fn with_lane_buckets<R>(body: &[u32], f: impl FnOnce(&[u32], &[usize; BLOCK + 1]) -> R) -> R {
-    thread_local! {
-        static BUCKETS: core::cell::RefCell<Vec<u32>> =
-            const { core::cell::RefCell::new(Vec::new()) };
-    }
-    BUCKETS.with(|cell| {
-        let mut buckets = cell.borrow_mut();
-        buckets.clear();
-        buckets.resize(body.len(), 0);
-        let mut counts = [0usize; BLOCK];
-        for &j in body {
-            counts[(j as usize) % BLOCK] += 1;
-        }
-        let mut starts = [0usize; BLOCK + 1];
-        for l in 0..BLOCK {
-            starts[l + 1] = starts[l] + counts[l];
-        }
-        let mut cursor = starts;
-        for &j in body {
-            let l = (j as usize) % BLOCK;
-            buckets[cursor[l]] = j;
-            cursor[l] += 1;
-        }
-        f(&buckets, &starts)
-    })
-}
-
-/// Sparse mat-vec: like [`matvec_generic`] with bias, but `O(m·|active|)` —
-/// each row touches only the active columns.  `active` must hold the
-/// ascending, duplicate-free indices of the nonzero entries of `x`.
-///
-/// The kernel is deliberately **scalar on every backend**.  A vector
-/// version would have to choose between processing whole 8-wide blocks
-/// (degrades to the dense kernel's cost once active columns are scattered —
-/// at density `d` a fraction `1-(1-d)^8` of blocks contain an active
-/// column) or compacting the active columns into vector lanes (changes the
-/// lane assignment, and with it the reduction order and the result bits).
-/// Instead the active body is grouped by lane once per call
-/// ([`with_lane_buckets`], amortised over all `m` rows), and each row runs
-/// one register-accumulator loop per lane — the same `O(|active|)`
-/// sequential multiply-adds as a plain compressed dot product, just split
-/// into eight sub-sequences that feed the canonical [`reduce8`] tree.
-///
-/// Bit-identity with the dense kernel: lane `l` receives exactly the dense
-/// kernel's ascending sub-sequence of column products `j ≡ l (mod 8)` with
-/// the zero terms skipped, and each skipped term is `w·(±0.0)` added to an
-/// accumulator that starts `+0.0` and can never become `-0.0` — a bitwise
-/// no-op by the argument on [`seed_from_bias`].  Tail columns (`j ≥ n-n%8`)
-/// are added sequentially after the reduction, exactly as in the dense
-/// kernel, again with only zero terms skipped.
-///
-/// # Safety
-/// Requires `a.len() == m*n`, `x.len() == n`, `bias.len() == m`,
-/// `out.len() == m`, and every index in `active` to be `< n`.  (`V` only
-/// fixes the dispatch signature; no vector instructions are issued.)
-#[inline(always)]
-pub(crate) unsafe fn matvec_sparse_generic<V: F32x8>(
-    a: &[f32],
-    m: usize,
-    n: usize,
-    x: &[f32],
-    active: &[u32],
-    bias: &[f32],
-    out: &mut [f32],
-) {
-    debug_assert_eq!(a.len(), m * n);
-    debug_assert_eq!(x.len(), n);
-    debug_assert_eq!(bias.len(), m);
-    debug_assert_eq!(out.len(), m);
-    debug_assert!(active.windows(2).all(|w| w[0] < w[1]), "active not sorted");
-    let nb = n - (n % BLOCK);
-    // Ascending order => one split separates lane-blocked body columns
-    // from tail columns.
-    let body_len = active.partition_point(|&j| (j as usize) < nb);
-    let (body, tail) = active.split_at(body_len);
-    let ap = a.as_ptr();
-    let xp = x.as_ptr();
-    with_lane_buckets(body, |buckets, starts| {
-        for (i, o) in out.iter_mut().enumerate() {
-            // SAFETY: `i < m`, so row `i*n..i*n+n` lies inside `a` (len `m*n`).
-            let row = unsafe { ap.add(i * n) };
-            let mut lanes = [0.0f32; BLOCK];
-            for l in 0..BLOCK {
-                let mut acc = 0.0f32;
-                for &ju in &buckets[starts[l]..starts[l + 1]] {
-                    let j = ju as usize;
-                    // SAFETY: `j < nb <= n` (bucketed body index), inside row and `x`.
-                    acc += unsafe { *row.add(j) * *xp.add(j) };
-                }
-                lanes[l] = acc;
-            }
-            let mut s = reduce8(lanes);
-            for &ju in tail {
-                let j = ju as usize;
-                // SAFETY: tail `j` came from `active`, all `< n` per the contract.
-                s += unsafe { *row.add(j) * *xp.add(j) };
-            }
-            *o = seed_from_bias(bias[i]) + s;
-        }
-    });
-}
-
-/// Dense/sparse mat-mul: `out = seedrow(bias) .+ a·b` where `a` is `m×k`,
+/// Mat-mul: `out = seedrow(bias) .+ a·b` where `a` is `m×k`,
 /// `b` is `k×n` and `bias` (empty for "no bias") seeds every output row.
 ///
 /// Vectorised over the output columns in axpy form (`out_block +=

@@ -1,6 +1,6 @@
 //! Runtime-dispatched SIMD kernels, bit-identical across backends.
 //!
-//! Every hot slice kernel in the workspace (dense/sparse mat-vec, mat-mul,
+//! Every hot slice kernel in the workspace (mat-vec, mat-mul,
 //! `im2col` unrolling and the tabulated exp-PSC sum used by TTAS decoding)
 //! is written **once** as a generic lane-blocked algorithm over an 8-lane
 //! vector abstraction (`vec::F32x8`) and instantiated per ISA:
@@ -69,18 +69,6 @@ impl SimdBackend {
             SimdBackend::Sse2 => "sse2",
             SimdBackend::Avx2 => "avx2",
         }
-    }
-
-    /// Whether this backend issues real vector instructions.
-    ///
-    /// `false` only for [`SimdBackend::Scalar`].  Callers that tune a
-    /// *performance* decision to the kernel speed (never a result — every
-    /// backend is bit-identical) can use this instead of matching on the
-    /// exact ISA: the dense kernels are several times faster on any vector
-    /// backend, which e.g. moves the sparse-vs-dense crossover density in
-    /// `nrsnn_snn::SparsityPolicy`.
-    pub fn is_vector(self) -> bool {
-        !matches!(self, SimdBackend::Scalar)
     }
 
     /// Whether this backend can run on the current CPU.
@@ -283,24 +271,6 @@ mod x86 {
             // kernel's `# Safety` contract, forwarded verbatim.
             #[target_feature(enable = $feature)]
             #[allow(clippy::too_many_arguments)]
-            pub(crate) unsafe fn matvec_sparse(
-                a: &[f32],
-                m: usize,
-                n: usize,
-                x: &[f32],
-                active: &[u32],
-                bias: &[f32],
-                out: &mut [f32],
-            ) {
-                // SAFETY: same contract as the callee; the `target_feature`
-                // gate matches the instantiated backend's ISA.
-                unsafe { kernels::matvec_sparse_generic::<$vty>(a, m, n, x, active, bias, out) }
-            }
-
-            // SAFETY: thin per-ISA wrapper; callers must uphold the generic
-            // kernel's `# Safety` contract, forwarded verbatim.
-            #[target_feature(enable = $feature)]
-            #[allow(clippy::too_many_arguments)]
             pub(crate) unsafe fn matmul(
                 a: &[f32],
                 m: usize,
@@ -472,43 +442,6 @@ pub fn matvec_bias_slices_with(
     assert_eq!(bias.len(), m, "matvec_bias: bias.len() != m");
     assert_eq!(out.len(), m, "matvec_bias: out.len() != m");
     dispatch!(backend, matvec_generic::matvec(a, m, n, x, bias, out))
-}
-
-/// [`crate::matvec_sparse_slices`] on an explicit backend: the bias-seeded
-/// `O(m·|active|)` mat-vec that touches only the active columns,
-/// scatter-accumulating each product into its canonical lane (`j % 8`).
-/// It runs the same scalar lane-blocked algorithm on every backend — see
-/// `kernels::matvec_sparse_generic` for why a vector version would cost
-/// either the sparsity or the bit-identity.  Bit-identical to
-/// [`matvec_bias_slices_with`] whenever `active` lists exactly the nonzero
-/// entries of `x` in ascending order (proof sketch on the kernel).
-///
-/// # Panics
-/// If any slice length disagrees with `m`/`n`, or any active index is
-/// `>= n` (real assertions, see [`matvec_slices_with`]).
-#[allow(clippy::too_many_arguments)]
-pub fn matvec_sparse_slices_with(
-    backend: SimdBackend,
-    a: &[f32],
-    m: usize,
-    n: usize,
-    x: &[f32],
-    active: &[u32],
-    bias: &[f32],
-    out: &mut [f32],
-) {
-    assert_eq!(a.len(), m * n, "matvec_sparse: a.len() != m*n");
-    assert_eq!(x.len(), n, "matvec_sparse: x.len() != n");
-    assert_eq!(bias.len(), m, "matvec_sparse: bias.len() != m");
-    assert_eq!(out.len(), m, "matvec_sparse: out.len() != m");
-    assert!(
-        active.iter().all(|&j| (j as usize) < n),
-        "matvec_sparse: active index out of range"
-    );
-    dispatch!(
-        backend,
-        matvec_sparse_generic::matvec_sparse(a, m, n, x, active, bias, out)
-    )
 }
 
 /// [`crate::matmul_slices`] on an explicit backend: `out = a·b` in the

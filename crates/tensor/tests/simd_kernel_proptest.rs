@@ -11,12 +11,10 @@
 
 use nrsnn_tensor::simd::{
     available_backends, im2col_slices_with, matmul_slices_with, matmul_sparse_slices_with,
-    matvec_bias_slices_with, matvec_slices_with, matvec_sparse_slices_with, sum8_by,
-    sum_gather_with, SimdBackend,
+    matvec_bias_slices_with, matvec_slices_with, sum8_by, sum_gather_with, SimdBackend,
 };
 use nrsnn_tensor::{
-    im2col_into, matmul_into, matmul_sparse_into, matvec_into, matvec_sparse_into, Conv2dGeometry,
-    Tensor, TensorError,
+    im2col_into, matmul_into, matmul_sparse_into, matvec_into, Conv2dGeometry, Tensor, TensorError,
 };
 use proptest::{rng_for, TestRng, CASES};
 use rand::Rng;
@@ -59,8 +57,8 @@ fn draw_shape_nz(rng: &mut TestRng) -> usize {
 }
 
 /// Draws a value: half the time an adversarial special, half an ordinary
-/// magnitude. `zero_bias` boosts the exact-zero probability so sparse paths
-/// see genuinely sparse inputs (with both zero signs).
+/// magnitude. `zero_bias` boosts the exact-zero probability so the mat-mul's
+/// zero-skip sees genuinely sparse inputs (with both zero signs).
 fn draw_value(rng: &mut TestRng, zero_bias: bool) -> f32 {
     if zero_bias && rng.gen_range(0.0f32..1.0) < 0.5 {
         return if rng.gen_range(0.0f32..1.0) < 0.25 {
@@ -82,15 +80,6 @@ fn draw_vec(rng: &mut TestRng, len: usize, zero_bias: bool) -> Vec<f32> {
 
 fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
-}
-
-/// Ascending indices of the nonzero entries — the sparse kernels' contract.
-fn active_indices(x: &[f32]) -> Vec<u32> {
-    x.iter()
-        .enumerate()
-        .filter(|(_, &v)| v != 0.0)
-        .map(|(j, _)| j as u32)
-        .collect()
 }
 
 fn simd_backends() -> Vec<SimdBackend> {
@@ -147,35 +136,6 @@ fn matvec_bias_every_isa_matches_scalar_bitwise() {
             let mut out = vec![f32::NAN; m];
             matvec_bias_slices_with(isa, &a, m, n, &x, &bias, &mut out);
             assert_eq!(bits(&out), bits(&reference), "{isa:?} m={m} n={n}");
-        }
-    }
-}
-
-#[test]
-fn matvec_sparse_every_isa_matches_dense_scalar_bitwise() {
-    let mut rng = rng_for("matvec_sparse_every_isa_matches_dense_scalar_bitwise");
-    for _ in 0..CASES {
-        let (m, n) = (draw_shape(&mut rng), draw_shape(&mut rng));
-        // Finite weights only: the skipped-term no-op argument requires
-        // finite a (an inf times a skipped 0.0 would be NaN, and the sparse
-        // kernel never computes it). The engine guarantees finite weights.
-        let a: Vec<f32> = (0..m * n).map(|_| rng.gen_range(-3.0f32..3.0)).collect();
-        let x = draw_vec(&mut rng, n, true); // zero-heavy input, both signs
-        let bias: Vec<f32> = (0..m).map(|_| draw_value(&mut rng, true)).collect();
-        let active = active_indices(&x);
-        // The dense scalar kernel is the single source of truth: the sparse
-        // kernel must match it on every backend.
-        let mut reference = vec![f32::NAN; m];
-        matvec_bias_slices_with(SimdBackend::Scalar, &a, m, n, &x, &bias, &mut reference);
-        for &backend in available_backends().iter() {
-            let mut out = vec![f32::NAN; m];
-            matvec_sparse_slices_with(backend, &a, m, n, &x, &active, &bias, &mut out);
-            assert_eq!(
-                bits(&out),
-                bits(&reference),
-                "{backend:?} m={m} n={n} |active|={}",
-                active.len()
-            );
         }
     }
 }
@@ -282,16 +242,7 @@ fn into_wrappers_return_typed_shape_errors() {
         matvec_into(&a, &a, &mut out),
         Err(TensorError::RankMismatch { op: "matvec", .. })
     ));
-    // Sparse wrappers: out-of-range active index and wrong bias length.
-    let x = Tensor::zeros(&[4]);
-    assert!(matches!(
-        matvec_sparse_into(&a, &x, &[4], &vec1, &mut out),
-        Err(TensorError::ShapeMismatch { .. })
-    ));
-    assert!(matches!(
-        matvec_sparse_into(&a, &x, &[0], &x_bad, &mut out),
-        Err(TensorError::ShapeMismatch { .. })
-    ));
+    // Bias-seeded mat-mul wrapper: wrong bias length.
     let b = Tensor::zeros(&[4, 2]);
     assert!(matches!(
         matmul_sparse_into(&a, &b, &vec1, &mut out), // bias len 3 != n=2

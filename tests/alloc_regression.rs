@@ -105,7 +105,7 @@ fn build_inputs(samples: usize, width: usize) -> Tensor {
 
 #[test]
 fn steady_state_simulate_batch_allocates_zero_per_sample() {
-    let base = build_network(24, 18, 6);
+    let network = build_network(24, 18, 6);
     let inputs = build_inputs(32, 24);
     let cfg = CodingConfig::new(64, 1.0);
     let seed = 2468u64;
@@ -133,66 +133,53 @@ fn steady_state_simulate_batch_allocates_zero_per_sample() {
         CodingKind::Ttfs,
         CodingKind::Ttas(5),
     ];
-    // Every kernel policy must be allocation-free: the sparse path's
-    // active-index scratch lives in the workspace and reaches a fixed
-    // capacity during warm-up, exactly like the rasters.
-    let policies = [
-        ("auto", base.clone().with_sparsity(SparsityPolicy::auto())),
-        ("dense", base.clone().with_sparsity(SparsityPolicy::Dense)),
-        ("sparse", base.with_sparsity(SparsityPolicy::Sparse)),
-    ];
+    for kind in codings {
+        let coding = kind.build();
+        for (noise_name, noise) in &noises {
+            let mut ws = SimWorkspace::new();
+            let mut outcomes: Vec<BatchOutcome> = Vec::new();
+            let run = |ws: &mut SimWorkspace, out: &mut Vec<BatchOutcome>| {
+                network
+                    .simulate_batch(
+                        &inputs,
+                        0..32,
+                        coding.as_ref(),
+                        &cfg,
+                        noise.as_ref(),
+                        |sample| StdRng::seed_from_u64(derive_seed(seed, sample as u64)),
+                        ws,
+                        out,
+                    )
+                    .unwrap();
+            };
 
-    for (policy_name, network) in &policies {
-        for kind in codings {
-            let coding = kind.build();
-            for (noise_name, noise) in &noises {
-                let mut ws = SimWorkspace::new();
-                let mut outcomes: Vec<BatchOutcome> = Vec::new();
-                let run = |ws: &mut SimWorkspace, out: &mut Vec<BatchOutcome>| {
-                    network
-                        .simulate_batch(
-                            &inputs,
-                            0..32,
-                            coding.as_ref(),
-                            &cfg,
-                            noise.as_ref(),
-                            |sample| StdRng::seed_from_u64(derive_seed(seed, sample as u64)),
-                            ws,
-                            out,
-                        )
-                        .unwrap();
-                };
+            // Warm-up: grows every workspace buffer to its steady-state
+            // size (identical samples and seeds, so later passes need no
+            // growth).
+            let warmup = allocations_during(|| run(&mut ws, &mut outcomes));
+            assert!(
+                warmup > 0,
+                "{} under {noise_name}: warm-up should allocate (counter wired up?)",
+                kind.label()
+            );
+            let reference = outcomes.clone();
 
-                // Warm-up: grows every workspace buffer to its steady-state
-                // size (identical samples and seeds, so later passes need no
-                // growth).
-                let warmup = allocations_during(|| run(&mut ws, &mut outcomes));
-                assert!(
-                    warmup > 0,
-                    "{} under {noise_name} ({policy_name}): warm-up should \
-                     allocate (counter wired up?)",
+            // Steady state: the same batch twice more, zero allocations.
+            for pass in 0..2 {
+                let steady = allocations_during(|| run(&mut ws, &mut outcomes));
+                assert_eq!(
+                    steady,
+                    0,
+                    "{} under {noise_name}: pass {pass} allocated {steady} times \
+                     for 32 samples (expected zero)",
                     kind.label()
                 );
-                let reference = outcomes.clone();
-
-                // Steady state: the same batch twice more, zero allocations.
-                for pass in 0..2 {
-                    let steady = allocations_during(|| run(&mut ws, &mut outcomes));
-                    assert_eq!(
-                        steady,
-                        0,
-                        "{} under {noise_name} ({policy_name}): pass {pass} \
-                         allocated {steady} times for 32 samples (expected zero)",
-                        kind.label()
-                    );
-                    assert_eq!(
-                        outcomes,
-                        reference,
-                        "{} under {noise_name} ({policy_name}): steady-state \
-                         results diverged",
-                        kind.label()
-                    );
-                }
+                assert_eq!(
+                    outcomes,
+                    reference,
+                    "{} under {noise_name}: steady-state results diverged",
+                    kind.label()
+                );
             }
         }
     }

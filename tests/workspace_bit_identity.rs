@@ -10,7 +10,7 @@
 use nrsnn::prelude::*;
 use nrsnn_data::DatasetSpec;
 use nrsnn_runtime::{derive_seed, parallel_map, ParallelConfig};
-use nrsnn_snn::{SimulationOutcome, SnnLayer, SparsityPolicy};
+use nrsnn_snn::{SimulationOutcome, SnnLayer};
 use nrsnn_tensor::{Conv2dGeometry, Pool2dGeometry, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -296,10 +296,11 @@ fn simulate_batch_with_reused_workspace_matches_reference() {
     }
 }
 
-/// A deterministic hand-built MLP for the sparse/dense kernel matrix: small
+/// A deterministic hand-built MLP for the batch and ISA matrices: small
 /// enough that the full `(coding × noise × batch) × thread-count` grid runs
 /// in seconds, with signed weights, a signed-zero bias entry and inputs
-/// containing exact zeros so the sparse kernels' skip set is non-trivial.
+/// containing exact zeros, so silent neurons and the `-0.0` bias seed ride
+/// through every combination.
 fn matrix_network() -> SnnNetwork {
     let fill = |rows: usize, cols: usize, scale: f32| -> Tensor {
         let data: Vec<f32> = (0..rows * cols)
@@ -332,15 +333,16 @@ fn matrix_inputs(samples: usize, width: usize) -> Tensor {
     Tensor::from_vec(data, &[samples, width]).unwrap()
 }
 
-/// Property-style matrix for the sparsity-aware engine: 5 codings ×
-/// {deletion, jitter, composite} × batch sizes 1..=16, each simulated under
-/// the forced-dense, forced-sparse and auto kernel policies, asserting
-/// byte-equal logits, equal outcomes/spike counts and identical RNG streams.
-/// The whole matrix then re-runs fanned over 1 and 4 worker threads and the
-/// two runs' digests must agree bit for bit.
+/// Batch-vs-reference matrix: 5 codings × {deletion, jitter, composite} ×
+/// batch sizes 1..=16.  Every sample of every batch, simulated through one
+/// `simulate_batch_each` call on a shared workspace, must equal
+/// `simulate_unbuffered` byte for byte: its outcome, its logit bits and the
+/// state of the RNG it leaves behind.  The whole matrix then re-runs fanned
+/// over 1 and 4 worker threads and the two runs' digests must agree bit for
+/// bit.
 #[test]
-fn sparse_and_dense_kernels_are_byte_identical_across_the_matrix() {
-    let base = matrix_network();
+fn batched_engine_matches_unbuffered_reference_across_the_matrix() {
+    let network = matrix_network();
     let inputs = matrix_inputs(16, 24);
     let cfg = CodingConfig::new(48, 1.0);
     let noise_names = ["deletion", "jitter", "composite"];
@@ -362,96 +364,65 @@ fn sparse_and_dense_kernels_are_byte_identical_across_the_matrix() {
         .collect();
 
     // One combo = one pool task; returns the digest of every logit bit the
-    // combo produced (under the auto policy) for the cross-thread check.
+    // combo produced for the cross-thread check.
     let run_combo = |&(kind, noise_name): &(CodingKind, &str)| -> Vec<u32> {
         let coding = kind.build();
         let noise = build_noise(noise_name);
-        let policies = [
-            ("dense", base.clone().with_sparsity(SparsityPolicy::Dense)),
-            ("sparse", base.clone().with_sparsity(SparsityPolicy::Sparse)),
-            ("auto", base.clone().with_sparsity(SparsityPolicy::auto())),
-        ];
+        let mut ws = SimWorkspace::new();
         let mut digest = Vec::new();
         for batch in 1..=16usize {
             let seed = derive_seed(4096, batch as u64);
-            // (outcome, logit bits) per sample, per policy.
-            let mut per_policy: Vec<Vec<(BatchOutcome, Vec<u32>)>> = Vec::new();
-            for (policy_name, network) in &policies {
-                let mut ws = SimWorkspace::new();
-                let mut seen = Vec::new();
-                network
-                    .simulate_batch_each(
-                        &inputs,
-                        0..batch,
+            let seeded = |sample: usize| StdRng::seed_from_u64(derive_seed(seed, sample as u64));
+            // One RNG per sample, lent to the batch by reference so the
+            // state each sample leaves behind stays inspectable.
+            let mut rngs: Vec<StdRng> = (0..batch).map(seeded).collect();
+            let mut lent = rngs.iter_mut();
+            let mut seen = Vec::new();
+            network
+                .simulate_batch_each(
+                    &inputs,
+                    0..batch,
+                    coding.as_ref(),
+                    &cfg,
+                    noise.as_ref(),
+                    |_| lent.next().expect("one RNG per sample"),
+                    &mut ws,
+                    |_, outcome, ws| {
+                        seen.push((
+                            outcome,
+                            ws.logits().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        ));
+                    },
+                )
+                .unwrap_or_else(|e| panic!("{} {noise_name} batch {batch}: {e}", kind.label()));
+            assert_eq!(seen.len(), batch);
+            for (sample, ((outcome, bits), rng)) in seen.iter().zip(&rngs).enumerate() {
+                let context = format!(
+                    "{} under {noise_name}, batch {batch}, sample {sample}",
+                    kind.label()
+                );
+                let mut rng_ref = seeded(sample);
+                let reference = network
+                    .simulate_unbuffered(
+                        inputs.row_slice(sample).unwrap(),
                         coding.as_ref(),
                         &cfg,
                         noise.as_ref(),
-                        |sample| StdRng::seed_from_u64(derive_seed(seed, sample as u64)),
-                        &mut ws,
-                        |_, outcome, ws| {
-                            seen.push((
-                                outcome,
-                                ws.logits().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                            ));
-                        },
+                        &mut rng_ref,
                     )
-                    .unwrap_or_else(|e| {
-                        panic!(
-                            "{} {noise_name} batch {batch} {policy_name}: {e}",
-                            kind.label()
-                        )
-                    });
-                per_policy.push(seen);
-            }
-            let (dense, rest) = per_policy.split_first().unwrap();
-            for (results, (policy_name, _)) in rest.iter().zip(&policies[1..]) {
+                    .unwrap();
                 assert_eq!(
-                    dense,
-                    results,
-                    "{} under {noise_name}, batch {batch}: {policy_name} diverged from dense",
-                    kind.label()
+                    (outcome.predicted, outcome.total_spikes),
+                    (reference.predicted, reference.total_spikes),
+                    "{context}: outcome"
                 );
+                let reference_bits: Vec<u32> =
+                    reference.logits.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(bits, &reference_bits, "{context}: logit bits");
+                assert_eq!(rng, &rng_ref, "{context}: RNG stream diverged");
+                digest.extend_from_slice(bits);
             }
-            digest.extend(
-                per_policy[2]
-                    .iter()
-                    .flat_map(|(_, bits)| bits.iter().copied()),
-            );
         }
-        // RNG-stream identity: after simulating the same sample, the dense
-        // and sparse engines must leave the generator in the same state.
-        let row = inputs.row_slice(0).unwrap();
-        let mut ws = SimWorkspace::new();
-        let mut rng_dense = StdRng::seed_from_u64(derive_seed(7, 7));
-        let mut rng_sparse = StdRng::seed_from_u64(derive_seed(7, 7));
-        policies[0]
-            .1
-            .simulate_with(
-                row,
-                coding.as_ref(),
-                &cfg,
-                noise.as_ref(),
-                &mut rng_dense,
-                &mut ws,
-            )
-            .unwrap();
-        policies[1]
-            .1
-            .simulate_with(
-                row,
-                coding.as_ref(),
-                &cfg,
-                noise.as_ref(),
-                &mut rng_sparse,
-                &mut ws,
-            )
-            .unwrap();
-        assert_eq!(
-            rng_dense,
-            rng_sparse,
-            "{} under {noise_name}: RNG stream diverged between kernels",
-            kind.label()
-        );
         digest
     };
 
@@ -469,15 +440,14 @@ fn sparse_and_dense_kernels_are_byte_identical_across_the_matrix() {
 }
 
 /// Scalar-vs-SIMD matrix: 5 codings × {deletion, jitter, composite} ×
-/// batch sizes 1..=16 × {dense, sparse, auto} kernel policies × every ISA
-/// the host CPU supports.  For each ISA the three policies must agree byte
-/// for byte (outcomes + logit bits), and the per-ISA digests — logit bits,
-/// a few draws from the post-simulation RNG (so stream divergence is
-/// caught), and a conv → pool → linear probe (so the `im2col`/pooling arms
-/// ride through the same matrix) — must be identical to the scalar
-/// backend's digest.  Together with the lane-blocked coding layer this
-/// covers the *entire* noisy pipeline per ISA: block encode → noise →
-/// block decode → dense/sparse forward.  This is the end-to-end half of
+/// batch sizes 1..=16 × every ISA the host CPU supports.  The per-ISA
+/// digests — outcomes and logit bits, a few draws from the
+/// post-simulation RNG (so stream divergence is caught), and a conv → pool
+/// → linear probe (so the `im2col`/pooling arms ride through the same
+/// matrix) — must be identical to the scalar backend's digest.  Together
+/// with the lane-blocked coding layer this covers the *entire* noisy
+/// pipeline per ISA: block encode → noise → block decode → dense forward.
+/// This is the end-to-end half of
 /// the SIMD bit-identity contract; the kernel-level half lives in
 /// `crates/tensor/tests/simd_kernel_proptest.rs` and the coding-layer half
 /// in `crates/snn/tests/coding_simd_proptest.rs`.
@@ -510,66 +480,36 @@ fn scalar_and_simd_backends_are_byte_identical_across_the_matrix() {
         .flat_map(|kind| noise_names.iter().map(move |&n| (kind, n)))
         .collect();
 
-    // Runs the whole (coding × noise × batch × policy) grid on the current
-    // backend; returns one digest per combo of every logit bit plus the
-    // RNG-stream probe.
+    // Runs the whole (coding × noise × batch) grid on the current backend;
+    // returns one digest per combo of every outcome and logit bit plus the
+    // RNG-stream and conv probes.
     let digest_all = |isa: SimdBackend| -> Vec<Vec<u32>> {
         combos
             .iter()
             .map(|&(kind, noise_name)| {
                 let coding = kind.build();
                 let noise = build_noise(noise_name);
-                let policies = [
-                    ("dense", base.clone().with_sparsity(SparsityPolicy::Dense)),
-                    ("sparse", base.clone().with_sparsity(SparsityPolicy::Sparse)),
-                    ("auto", base.clone().with_sparsity(SparsityPolicy::auto())),
-                ];
                 let mut digest = Vec::new();
                 for batch in 1..=16usize {
                     let seed = derive_seed(8192, batch as u64);
-                    let mut per_policy: Vec<Vec<(BatchOutcome, Vec<u32>)>> = Vec::new();
-                    for (policy_name, network) in &policies {
-                        let mut ws = SimWorkspace::new();
-                        let mut seen = Vec::new();
-                        network
-                            .simulate_batch_each(
-                                &inputs,
-                                0..batch,
-                                coding.as_ref(),
-                                &cfg,
-                                noise.as_ref(),
-                                |sample| StdRng::seed_from_u64(derive_seed(seed, sample as u64)),
-                                &mut ws,
-                                |_, outcome, ws| {
-                                    seen.push((
-                                        outcome,
-                                        ws.logits().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                                    ));
-                                },
-                            )
-                            .unwrap_or_else(|e| {
-                                panic!(
-                                    "{isa:?} {} {noise_name} batch {batch} {policy_name}: {e}",
-                                    kind.label()
-                                )
-                            });
-                        per_policy.push(seen);
-                    }
-                    let (dense, rest) = per_policy.split_first().unwrap();
-                    for (results, (policy_name, _)) in rest.iter().zip(&policies[1..]) {
-                        assert_eq!(
-                            dense,
-                            results,
-                            "{isa:?}: {} under {noise_name}, batch {batch}: {policy_name} \
-                             diverged from dense",
-                            kind.label()
-                        );
-                    }
-                    digest.extend(
-                        per_policy[2]
-                            .iter()
-                            .flat_map(|(_, bits)| bits.iter().copied()),
-                    );
+                    let mut ws = SimWorkspace::new();
+                    base.simulate_batch_each(
+                        &inputs,
+                        0..batch,
+                        coding.as_ref(),
+                        &cfg,
+                        noise.as_ref(),
+                        |sample| StdRng::seed_from_u64(derive_seed(seed, sample as u64)),
+                        &mut ws,
+                        |_, outcome, ws| {
+                            digest.push(outcome.predicted as u32);
+                            digest.push(outcome.total_spikes as u32);
+                            digest.extend(ws.logits().iter().map(|v| v.to_bits()));
+                        },
+                    )
+                    .unwrap_or_else(|e| {
+                        panic!("{isa:?} {} {noise_name} batch {batch}: {e}", kind.label())
+                    });
                 }
                 // RNG-stream probe: simulate one sample, then append a few
                 // draws — if any backend consumed a different number of
@@ -577,17 +517,15 @@ fn scalar_and_simd_backends_are_byte_identical_across_the_matrix() {
                 let row = inputs.row_slice(0).unwrap();
                 let mut ws = SimWorkspace::new();
                 let mut rng = StdRng::seed_from_u64(derive_seed(99, 1));
-                policies[2]
-                    .1
-                    .simulate_with(
-                        row,
-                        coding.as_ref(),
-                        &cfg,
-                        noise.as_ref(),
-                        &mut rng,
-                        &mut ws,
-                    )
-                    .unwrap();
+                base.simulate_with(
+                    row,
+                    coding.as_ref(),
+                    &cfg,
+                    noise.as_ref(),
+                    &mut rng,
+                    &mut ws,
+                )
+                .unwrap();
                 digest.extend((0..4).map(|_| rng.gen::<u32>()));
                 // Conv/pool probe: the `im2col` + kernel-transpose + matmul
                 // and pooling arms under the same coding, noise and ISA.
