@@ -65,6 +65,15 @@ impl JitterNoise {
         let u2: f64 = rng.gen_range(0.0..1.0);
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
+
+    /// Shifts `t` by one quantised Gaussian draw (two RNG draws) and clamps
+    /// it to `[0, max_t]`.  A huge `σ` saturates the shift at `i64::MIN` /
+    /// `i64::MAX`, and the saturating add keeps it pinned to the matching
+    /// window edge instead of overflowing.
+    fn jittered(&self, t: u32, max_t: i64, rng: &mut dyn RngCore) -> u32 {
+        let shift = (Self::gaussian(rng) * self.sigma).round() as i64;
+        (t as i64).saturating_add(shift).clamp(0, max_t) as u32
+    }
 }
 
 impl SpikeTransform for JitterNoise {
@@ -82,10 +91,7 @@ impl SpikeTransform for JitterNoise {
             }
             train
                 .iter()
-                .map(|&t| {
-                    let shift = (Self::gaussian(rng) * self.sigma).round() as i64;
-                    (t as i64 + shift).clamp(0, max_t) as u32
-                })
+                .map(|&t| self.jittered(t, max_t, rng))
                 .collect()
         })
     }
@@ -102,10 +108,7 @@ impl SpikeTransform for JitterNoise {
             if train.is_empty() {
                 return;
             }
-            shifted.extend(train.iter().map(|&t| {
-                let shift = (Self::gaussian(rng) * self.sigma).round() as i64;
-                (t as i64 + shift).clamp(0, max_t) as u32
-            }));
+            shifted.extend(train.iter().map(|&t| self.jittered(t, max_t, rng)));
         });
     }
 
@@ -119,8 +122,7 @@ impl SpikeTransform for JitterNoise {
         // (sort + merge colliding spikes), and skips empty trains.
         raster.update_trains(|_, train| {
             for t in train.iter_mut() {
-                let shift = (Self::gaussian(rng) * self.sigma).round() as i64;
-                *t = (*t as i64 + shift).clamp(0, max_t) as u32;
+                *t = self.jittered(*t, max_t, rng);
             }
         });
     }
@@ -273,6 +275,36 @@ mod tests {
             assert_eq!(in_place, reference, "sigma {sigma}");
             assert_eq!(rng_a, rng_b, "sigma {sigma}");
         }
+    }
+
+    /// A σ so large that every shift saturates must pin each spike to a
+    /// window edge on all three paths, not overflow `t + shift`.
+    #[test]
+    fn huge_sigma_saturates_to_the_window_edges() {
+        let raster = SpikeRaster::from_trains(vec![vec![3, 9, 14]], 16);
+        let max_t = 15;
+        let noise = JitterNoise::new(1e300).unwrap();
+        let (mut hit_start, mut hit_end) = (false, false);
+        for seed in 0..8 {
+            let mut rng_a = StdRng::seed_from_u64(seed);
+            let mut rng_b = StdRng::seed_from_u64(seed);
+            let mut rng_c = StdRng::seed_from_u64(seed);
+            let out = noise.apply(&raster, &mut rng_a);
+            let mut reused = SpikeRaster::new(2, 3);
+            noise.apply_into(&raster, &mut reused, &mut rng_b);
+            let mut in_place = raster.clone();
+            noise.apply_in_place(&mut in_place, &mut rng_c);
+            assert_eq!(reused, out, "seed {seed}");
+            assert_eq!(in_place, out, "seed {seed}");
+            assert_eq!(rng_a, rng_b, "seed {seed}");
+            assert_eq!(rng_a, rng_c, "seed {seed}");
+            for &t in out.train(0) {
+                assert!(t == 0 || t == max_t, "seed {seed}: spike at {t}");
+            }
+            hit_start |= out.train(0).contains(&0);
+            hit_end |= out.train(0).contains(&max_t);
+        }
+        assert!(hit_start && hit_end, "both window edges must be reached");
     }
 
     #[test]

@@ -110,10 +110,11 @@ fn steady_state_simulate_batch_allocates_zero_per_sample() {
     let cfg = CodingConfig::new(64, 1.0);
     let seed = 2468u64;
 
-    // Cover the no-noise fast path, both random noise models and a
-    // multi-stage composite: every combination must be allocation-free in
-    // steady state (the composite applies stages after the first in place,
-    // so it needs no scratch raster).
+    // Cover the no-noise fast path, both random noise models and
+    // multi-stage composites in both orders: every combination must be
+    // allocation-free in steady state (a composite applies stages after the
+    // first in place, so it needs no scratch raster, and jitter → deletion
+    // runs deletion's in-place path).
     let noises: Vec<(&str, Box<dyn SpikeTransform>)> = vec![
         ("identity", Box::new(IdentityTransform)),
         ("deletion", Box::new(DeletionNoise::new(0.3).unwrap())),
@@ -124,6 +125,14 @@ fn steady_state_simulate_batch_allocates_zero_per_sample() {
                 CompositeNoise::new()
                     .then(DeletionNoise::new(0.2).unwrap())
                     .then(JitterNoise::new(1.0).unwrap()),
+            ),
+        ),
+        (
+            "jitter_then_deletion",
+            Box::new(
+                CompositeNoise::new()
+                    .then(JitterNoise::new(1.0).unwrap())
+                    .then(DeletionNoise::new(0.2).unwrap()),
             ),
         ),
     ];

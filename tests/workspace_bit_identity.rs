@@ -333,8 +333,10 @@ fn matrix_inputs(samples: usize, width: usize) -> Tensor {
     Tensor::from_vec(data, &[samples, width]).unwrap()
 }
 
-/// Batch-vs-reference matrix: 5 codings × {deletion, jitter, composite} ×
-/// batch sizes 1..=16.  Every sample of every batch, simulated through one
+/// Batch-vs-reference matrix: 5 codings × {deletion, jitter, deletion →
+/// jitter, jitter → deletion} × batch sizes 1..=16.  The jitter → deletion
+/// composite is the one that runs deletion's in-place path (a composite
+/// writes its first stage with `apply_into` and applies the rest in place).  Every sample of every batch, simulated through one
 /// `simulate_batch_each` call on a shared workspace, must equal
 /// `simulate_unbuffered` byte for byte: its outcome, its logit bits and the
 /// state of the RNG it leaves behind.  The whole matrix then re-runs fanned
@@ -345,7 +347,7 @@ fn batched_engine_matches_unbuffered_reference_across_the_matrix() {
     let network = matrix_network();
     let inputs = matrix_inputs(16, 24);
     let cfg = CodingConfig::new(48, 1.0);
-    let noise_names = ["deletion", "jitter", "composite"];
+    let noise_names = ["deletion", "jitter", "composite", "jitter_then_deletion"];
     let build_noise = |name: &str| -> Box<dyn SpikeTransform> {
         match name {
             "deletion" => Box::new(DeletionNoise::new(0.5).unwrap()),
@@ -354,6 +356,11 @@ fn batched_engine_matches_unbuffered_reference_across_the_matrix() {
                 CompositeNoise::new()
                     .then(DeletionNoise::new(0.3).unwrap())
                     .then(JitterNoise::new(1.0).unwrap()),
+            ),
+            "jitter_then_deletion" => Box::new(
+                CompositeNoise::new()
+                    .then(JitterNoise::new(1.0).unwrap())
+                    .then(DeletionNoise::new(0.3).unwrap()),
             ),
             other => panic!("unknown noise {other}"),
         }
