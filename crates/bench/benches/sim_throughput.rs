@@ -15,8 +15,11 @@
 //! forced-scalar kernels — the end-to-end floor became enforceable once
 //! the coding layer itself went lane-blocked, removing the scalar
 //! encode/decode term from Amdahl's denominator.  A third section times
-//! the coding layer in isolation: per-coding, per-ISA encode-only and
-//! decode-only rows, equality-gated train-for-train before timing.
+//! the dense forward over tiles of 1, 4 and 8 samples per ISA (µs per
+//! sample and weight bytes per sample), each gated byte-equal to the
+//! per-sample forward.  A fourth times the coding layer in isolation:
+//! per-coding, per-ISA encode-only and decode-only rows, equality-gated
+//! train-for-train before timing.
 //!
 //! ```text
 //! cargo bench -p nrsnn-bench --bench sim_throughput
@@ -28,8 +31,9 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use nrsnn::prelude::*;
 use nrsnn_bench::{bench_sweep_config, cifar10_pipeline, mnist_pipeline, record_bench_summary};
 use nrsnn_runtime::derive_seed;
-use nrsnn_snn::{CodingScratch, SpikeRaster};
+use nrsnn_snn::{CodingScratch, SnnLayer, SpikeRaster};
 use nrsnn_tensor::simd::{available_backends, set_backend, SimdBackend};
+use nrsnn_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -360,6 +364,9 @@ fn simd_throughput_report() {
         }
     }
 
+    // Tiled dense forward: the same layers over tiles of samples.
+    tiled_forward_report(&network, inputs, &isas, &mut entries);
+
     // Coding-layer microbenches: block encode and decode in isolation.
     coding_micro_report(pipeline, time_steps, &isas, &mut entries);
     assert_eq!(set_backend(previous), previous);
@@ -371,6 +378,145 @@ fn simd_throughput_report() {
         "SIMD speedup floors violated:\n  {}",
         floor_failures.join("\n  ")
     );
+}
+
+/// Tile sizes of the tiled dense-forward rows: one sample (every
+/// `simulate_with` call), half a tile, and the engine's full tile of 8.
+const FORWARD_TILES: [usize; 3] = [1, 4, 8];
+
+/// The dense forward the engine runs per tile: every layer's tiled mat-vec
+/// ([`nrsnn_tensor::matvec_bias_tile_slices`]) over `tile` consecutive
+/// samples at a time, with ReLU between layers.  Returns the logits of the
+/// first [`SAMPLES`] rows of `inputs`, row-major, in `out`; `scratch`
+/// holds the layer-to-layer matrices.
+fn tiled_forward(
+    network: &SnnNetwork,
+    inputs: &Tensor,
+    tile: usize,
+    (scratch, layer_out): &mut (Vec<f32>, Vec<f32>),
+    out: &mut Vec<f32>,
+) {
+    let width = network.input_width();
+    out.clear();
+    for first in (0..SAMPLES).step_by(tile) {
+        let x = &inputs.as_slice()[first * width..(first + tile) * width];
+        scratch.clear();
+        scratch.extend_from_slice(x);
+        for (index, layer) in network.layers().iter().enumerate() {
+            let SnnLayer::Linear { weights, bias } = layer else {
+                panic!("the tiled forward rows time an all-dense MLP");
+            };
+            let (m, n) = (weights.dims()[0], weights.dims()[1]);
+            layer_out.clear();
+            layer_out.resize(tile * m, 0.0);
+            nrsnn_tensor::matvec_bias_tile_slices(
+                weights.as_slice(),
+                m,
+                n,
+                scratch,
+                tile,
+                bias.as_slice(),
+                layer_out,
+            );
+            if index + 1 < network.num_layers() {
+                for v in layer_out.iter_mut() {
+                    *v = v.max(0.0);
+                }
+            }
+            std::mem::swap(scratch, layer_out);
+        }
+        out.extend_from_slice(scratch);
+    }
+}
+
+/// Per-ISA dense-forward rows at tiles of 1, 4 and 8 samples, in µs per
+/// sample, next to the weight bytes each sample streams: a tile reads each
+/// weight once, so a tile of 8 moves an eighth of a one-sample forward's
+/// weights per sample.  Every (ISA, tile) cell is gated byte-equal to the
+/// per-sample [`SnnNetwork::analog_forward`] logits before it is timed.
+/// This is the forward the engine's traced one-sample replay cannot show.
+fn tiled_forward_report(
+    network: &SnnNetwork,
+    inputs: &Tensor,
+    isas: &[SimdBackend],
+    entries: &mut Vec<(String, f64)>,
+) {
+    let weight_bytes: usize = network
+        .layers()
+        .iter()
+        .map(|layer| match layer {
+            SnnLayer::Linear { weights, .. } => weights.len() * std::mem::size_of::<f32>(),
+            _ => 0,
+        })
+        .sum();
+    let (mut scratch, mut out) = ((Vec::new(), Vec::new()), Vec::new());
+    // Equality gate: every tile on every ISA against per-sample logits.
+    assert_eq!(set_backend(SimdBackend::Scalar), SimdBackend::Scalar);
+    let reference: Vec<u32> = (0..SAMPLES)
+        .flat_map(|sample| {
+            let row = inputs.row(sample).expect("row");
+            network
+                .analog_forward(row.as_slice())
+                .expect("analog forward")
+        })
+        .map(f32::to_bits)
+        .collect();
+    for &isa in isas {
+        assert_eq!(set_backend(isa), isa, "requested backend must stick");
+        for tile in FORWARD_TILES {
+            tiled_forward(network, inputs, tile, &mut scratch, &mut out);
+            let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(
+                got,
+                reference,
+                "{} tiled forward (tile {tile}) diverged from per-sample analog_forward",
+                isa.name()
+            );
+        }
+    }
+
+    println!("\n==== Tiled dense forward (MLP, weights read once per tile) ====");
+    println!(
+        "{:<16}{:<10}{:>14}{:>16}{:>12}",
+        "workload", "backend", "us/sample", "weight KiB/s.", "vs tile 1"
+    );
+    let mut per_tile = Vec::new();
+    for tile in FORWARD_TILES {
+        let rates = best_rates(isas, SAMPLES, || {
+            tiled_forward(network, inputs, tile, &mut scratch, &mut out);
+            black_box(&out);
+        });
+        per_tile.push(rates);
+    }
+    let kib = |tile: usize| weight_bytes as f64 / tile as f64 / 1024.0;
+    for (tile, rates) in FORWARD_TILES.iter().zip(&per_tile) {
+        entries.push((
+            format!("dense_forward_tile{tile}_weight_kib_per_sample"),
+            kib(*tile),
+        ));
+        for (k, &(isa, rate)) in rates.iter().enumerate() {
+            let us = 1e6 / rate;
+            let vs_one = rate / per_tile[0][k].1;
+            println!(
+                "{:<16}{:<10}{:>14.2}{:>16.1}{:>11.2}x",
+                format!("dense fwd t{tile}"),
+                isa.name(),
+                us,
+                kib(*tile),
+                vs_one
+            );
+            entries.push((
+                format!("dense_forward_tile{tile}_{}_us_per_sample", isa.name()),
+                us,
+            ));
+            if *tile > 1 {
+                entries.push((
+                    format!("dense_forward_tile{tile}_{}_speedup_vs_tile1", isa.name()),
+                    vs_one,
+                ));
+            }
+        }
+    }
 }
 
 /// Encode-only and decode-only rows per coding, per ISA, on the MLP's

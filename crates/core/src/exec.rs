@@ -15,7 +15,10 @@
 //! worker thread owns a single reusable [`SimWorkspace`] (created once per
 //! worker via [`try_parallel_map_init`]) and simulates its chunks through
 //! the batched [`SnnNetwork::simulate_batch`] API, so the steady-state hot
-//! loop allocates nothing per sample.  A chunk reduces to the pair
+//! loop allocates nothing per sample.  The engine advances a chunk in
+//! layer-major tiles of up to 8 samples, so at the default batch size of 8
+//! every chunk is one tile and each dense weight is read once per chunk
+//! rather than once per sample.  A chunk reduces to the pair
 //! `(correct, spikes)` of integer counts; per-point sums over chunks in
 //! index order equal the old per-sample sums exactly.
 //!

@@ -13,7 +13,10 @@
 //! request.  Each batch becomes **one**
 //! [`SnnNetwork::simulate_batch_each`](nrsnn_snn::SnnNetwork::simulate_batch_each)
 //! call through the worker's own reusable [`SimWorkspace`], so replies stay
-//! bit-identical to the offline simulator.
+//! bit-identical to the offline simulator.  The engine runs the batch in
+//! layer-major tiles of up to 8 requests (a batch of one is a tile of one)
+//! and reads each dense weight once per tile; the replies of one tile are
+//! released together, once the tile's last layer is done.
 //!
 //! ## Backpressure
 //!
@@ -521,11 +524,14 @@ fn fail_batch(
 ///
 /// With tracing on, each request's reply carries its trace id and its full
 /// timeline is assembled here — queue wait (enqueue → `sealed`), batch
-/// assembly (`sealed` → the request's own simulation starting, which
-/// includes the simulation time of earlier batch companions), the
-/// simulation engine's per-layer stage events, and reply serialization —
-/// and copied into the flight recorder **before** the slot is fulfilled,
-/// so any client holding a reply can already resolve its trace id.
+/// assembly (`sealed` → the request's tile starting, which includes the
+/// simulation time of earlier tiles of the batch), the simulation engine's
+/// per-layer stage events for the request's whole tile (shared by the
+/// tile's requests, see [`nrsnn_snn::StageEvent`]), and reply
+/// serialization (from the tile's end, so it includes the replies of
+/// earlier tile companions) — and copied into the flight recorder
+/// **before** the slot is fulfilled, so any client holding a reply can
+/// already resolve its trace id.
 fn run_batch(core: &ServerCore, worker: usize, sealed: Instant, scratch: &mut WorkerScratch) {
     let WorkerScratch {
         ws,

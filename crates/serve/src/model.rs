@@ -705,6 +705,25 @@ mod tests {
         let mut spec = toy_spec();
         spec.coding = CodingKind::Ttas(0);
         assert!(matches!(spec.build(), Err(ServeError::Model(_))));
+
+        // An infinite threshold θ (a model file stores it as raw f32 bits)
+        // would rate-decode every silent neuron to `0 · ∞ = NaN`: both
+        // paths must reject it too.
+        assert!(matches!(
+            ServedModel::new(
+                "bad",
+                toy_network(),
+                CodingKind::Rate,
+                CodingConfig::new(64, f32::INFINITY),
+                NoiseSpec::Clean,
+                1.0,
+                7,
+            ),
+            Err(ServeError::Model(_))
+        ));
+        let mut spec = toy_spec();
+        spec.threshold = f32::INFINITY;
+        assert!(matches!(spec.build(), Err(ServeError::Model(_))));
     }
 
     #[test]

@@ -40,24 +40,32 @@ impl CodingConfig {
 
     /// Validates the configuration.
     ///
+    /// Both real-valued fields must be finite as well as positive: at
+    /// θ = +∞ the rate decode computes `0 · ∞ = NaN` for every silent
+    /// neuron (breaking the "empty train decodes to `+0.0`" contract), and
+    /// at an infinite τ fraction the TTFS/TTAS kernels decode every train
+    /// to zero.
+    ///
     /// # Errors
-    /// Returns [`SnnError::InvalidConfig`] for non-positive values.
+    /// Returns [`SnnError::InvalidConfig`] for a zero window or a
+    /// threshold or τ fraction that is not finite and positive (NaN
+    /// included).
     pub fn validate(&self) -> Result<()> {
         if self.time_steps == 0 {
             return Err(SnnError::InvalidConfig(
                 "time_steps must be non-zero".to_string(),
             ));
         }
-        // `partial_cmp` keeps NaN on the rejection path.
-        if self.threshold.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+        let finite_positive = |v: f32| v.is_finite() && v > 0.0;
+        if !finite_positive(self.threshold) {
             return Err(SnnError::InvalidConfig(format!(
-                "threshold must be positive, got {}",
+                "threshold must be finite and positive, got {}",
                 self.threshold
             )));
         }
-        if self.ttfs_tau_fraction.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+        if !finite_positive(self.ttfs_tau_fraction) {
             return Err(SnnError::InvalidConfig(format!(
-                "ttfs_tau_fraction must be positive, got {}",
+                "ttfs_tau_fraction must be finite and positive, got {}",
                 self.ttfs_tau_fraction
             )));
         }
@@ -95,9 +103,13 @@ mod tests {
         assert!(CodingConfig::new(0, 1.0).validate().is_err());
         assert!(CodingConfig::new(10, 0.0).validate().is_err());
         assert!(CodingConfig::new(10, -1.0).validate().is_err());
-        let mut c = CodingConfig::new(10, 1.0);
-        c.ttfs_tau_fraction = 0.0;
-        assert!(c.validate().is_err());
+        assert!(CodingConfig::new(10, f32::NAN).validate().is_err());
+        assert!(CodingConfig::new(10, f32::INFINITY).validate().is_err());
+        for tau in [0.0, f32::NAN, f32::INFINITY] {
+            let mut c = CodingConfig::new(10, 1.0);
+            c.ttfs_tau_fraction = tau;
+            assert!(c.validate().is_err(), "tau fraction {tau}");
+        }
     }
 
     #[test]

@@ -12,18 +12,26 @@
 //!
 //! Two simulation paths share that relay and produce bit-identical results:
 //!
-//! * the **workspace path** — [`SnnNetwork::simulate_with`] /
-//!   [`SnnNetwork::simulate_batch`] write every intermediate (rasters,
-//!   decoded activations, matmul scratch) into a caller-provided
-//!   [`SimWorkspace`], allocating nothing in steady state;
+//! * the **tile core** — one private function advances a *tile* of up to 8
+//!   samples layer by layer: per layer, each sample in turn is encoded,
+//!   corrupted with its own RNG and decoded into one row of a per-tile
+//!   matrix, then the layer's forward runs once for the whole tile, so a
+//!   dense layer reads each weight once per tile instead of once per
+//!   sample.  Every intermediate lives in a caller-provided
+//!   [`SimWorkspace`], allocating nothing in steady state.
+//!   [`SnnNetwork::simulate_batch`] and [`SnnNetwork::simulate_batch_each`]
+//!   run their range as tiles of 8; [`SnnNetwork::simulate_with`],
+//!   [`SnnNetwork::simulate`] and [`SnnNetwork::evaluate`] run tiles of
+//!   one sample;
 //! * the **reference path** — [`SnnNetwork::simulate_unbuffered`] keeps the
-//!   original allocate-per-call implementation as an executable
+//!   original allocate-per-call, one-sample implementation as an executable
 //!   specification; the `workspace_bit_identity` integration tests assert
-//!   byte-for-byte equality between the two, and the `sim_throughput` bench
-//!   measures the speedup.
+//!   byte-for-byte equality between the two at every tile size, and the
+//!   `sim_throughput` bench measures the speedup.
 //!
-//! [`SnnNetwork::simulate`] is a thin wrapper over a one-shot workspace, so
-//! existing callers keep their API and gain the allocation-free inner loop.
+//! Tiling never changes a bit: each sample draws from its own RNG the same
+//! values in the same order (its layers still run in order), and the tiled
+//! mat-vec computes every output with the one-sample operation order.
 
 use std::ops::Range;
 // nrsnn-lint: allow(forbidden-api) -- stage tracing needs a raw monotonic
@@ -32,12 +40,12 @@ use std::ops::Range;
 use std::time::Instant;
 
 use nrsnn_tensor::{
-    im2col, im2col_slices, matmul_sparse_into, matmul_sparse_slices, matvec_bias_slices, transpose,
-    transpose_slices, Conv2dGeometry, Pool2dGeometry, Tensor,
+    im2col, im2col_slices, matmul_sparse_into, matmul_sparse_slices, matvec_bias_slices,
+    matvec_bias_tile_slices, transpose, transpose_slices, Conv2dGeometry, Pool2dGeometry, Tensor,
 };
 use rand::RngCore;
 
-use crate::workspace::ConvScratch;
+use crate::workspace::{argmax, ConvScratch};
 use crate::{
     BatchOutcome, CodingConfig, CodingScratch, NeuralCoding, Result, SimStage, SimWorkspace,
     SnnError, SpikeRaster, StageEvent,
@@ -136,45 +144,45 @@ impl SnnLayer {
                 Ok(out)
             }
             SnnLayer::AvgPool { geometry } => {
-                let g = geometry;
-                let (oh, ow) = (g.out_height(), g.out_width());
-                let mut out = vec![0.0f32; g.out_len()];
-                let area = (g.window * g.window) as f32;
-                for c in 0..g.channels {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let mut acc = 0.0;
-                            for ky in 0..g.window {
-                                for kx in 0..g.window {
-                                    let iy = oy * g.stride + ky;
-                                    let ix = ox * g.stride + kx;
-                                    acc +=
-                                        input[c * g.in_height * g.in_width + iy * g.in_width + ix];
-                                }
-                            }
-                            out[c * oh * ow + oy * ow + ox] = acc / area;
-                        }
-                    }
-                }
+                let mut out = vec![0.0f32; geometry.out_len()];
+                avg_pool(geometry, input, &mut out);
                 Ok(out)
             }
         }
     }
 
-    /// Allocation-free analog forward pass: writes the layer output into
-    /// `out` (cleared and resized, capacity kept), using `scratch` for the
-    /// convolution intermediates.
+    /// Allocation-free analog forward pass over a tile: `inputs` holds
+    /// `samples` rows of the layer's input width, and `out` (cleared and
+    /// resized, capacity kept) receives one row of the output width per
+    /// sample, using `scratch` for the convolution intermediates.
     ///
-    /// Performs the same floating-point operations in the same order as
-    /// [`SnnLayer::forward_analog`], so the two produce bit-identical
-    /// results.
-    fn forward_analog_into(&self, input: &[f32], scratch: &mut ConvScratch, out: &mut Vec<f32>) {
+    /// Dense layers run the tiled mat-vec once for the whole tile, so each
+    /// weight is read once per tile; convolution and pooling layers run
+    /// each sample in turn (a convolution transposes its kernel bank once
+    /// per tile).  Every row performs the same floating-point
+    /// operations in the same order as [`SnnLayer::forward_analog`] on that
+    /// sample alone, so the two produce bit-identical results.
+    fn forward_tile_into(
+        &self,
+        inputs: &[f32],
+        samples: usize,
+        scratch: &mut ConvScratch,
+        out: &mut Vec<f32>,
+    ) {
+        let (n, m) = (self.input_width(), self.output_width());
+        out.clear();
+        out.resize(samples * m, 0.0);
         match self {
             SnnLayer::Linear { weights, bias } => {
-                let (m, n) = (weights.dims()[0], weights.dims()[1]);
-                out.clear();
-                out.resize(m, 0.0);
-                matvec_bias_slices(weights.as_slice(), m, n, input, bias.as_slice(), out);
+                matvec_bias_tile_slices(
+                    weights.as_slice(),
+                    m,
+                    n,
+                    inputs,
+                    samples,
+                    bias.as_slice(),
+                    out,
+                );
             }
             SnnLayer::Conv {
                 weights,
@@ -184,57 +192,67 @@ impl SnnLayer {
                 let patch = geometry.patch_len();
                 let positions = geometry.out_positions();
                 let out_ch = weights.dims()[0];
-                scratch.cols.clear();
-                scratch.cols.resize(positions * patch, 0.0);
-                im2col_slices(input, geometry, &mut scratch.cols);
                 scratch.weights_t.clear();
                 scratch.weights_t.resize(patch * out_ch, 0.0);
                 transpose_slices(weights.as_slice(), out_ch, patch, &mut scratch.weights_t);
-                scratch.prod.clear();
-                scratch.prod.resize(positions * out_ch, 0.0);
-                // Bias-seeded and skipping exact-zero patch entries: the
-                // convolution arm is inherently input-sparsity-aware, its
-                // FLOPs scale with the number of nonzero decoded activations
-                // gathered into the patch matrix.
-                matmul_sparse_slices(
-                    &scratch.cols,
-                    positions,
-                    patch,
-                    &scratch.weights_t,
-                    out_ch,
-                    bias.as_slice(),
-                    &mut scratch.prod,
-                );
-                out.clear();
-                out.resize(out_ch * positions, 0.0);
-                for c in 0..out_ch {
-                    for p in 0..positions {
-                        out[c * positions + p] = scratch.prod[p * out_ch + c];
+                for s in 0..samples {
+                    scratch.cols.clear();
+                    scratch.cols.resize(positions * patch, 0.0);
+                    im2col_slices(&inputs[s * n..(s + 1) * n], geometry, &mut scratch.cols);
+                    scratch.prod.clear();
+                    scratch.prod.resize(positions * out_ch, 0.0);
+                    // Bias-seeded and skipping exact-zero patch entries: the
+                    // convolution arm is inherently input-sparsity-aware, its
+                    // FLOPs scale with the number of nonzero decoded
+                    // activations gathered into the patch matrix.
+                    matmul_sparse_slices(
+                        &scratch.cols,
+                        positions,
+                        patch,
+                        &scratch.weights_t,
+                        out_ch,
+                        bias.as_slice(),
+                        &mut scratch.prod,
+                    );
+                    let y = &mut out[s * m..(s + 1) * m];
+                    for c in 0..out_ch {
+                        for p in 0..positions {
+                            y[c * positions + p] = scratch.prod[p * out_ch + c];
+                        }
                     }
                 }
             }
             SnnLayer::AvgPool { geometry } => {
-                let g = geometry;
-                let (oh, ow) = (g.out_height(), g.out_width());
-                out.clear();
-                out.resize(g.out_len(), 0.0);
-                let area = (g.window * g.window) as f32;
-                for c in 0..g.channels {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let mut acc = 0.0;
-                            for ky in 0..g.window {
-                                for kx in 0..g.window {
-                                    let iy = oy * g.stride + ky;
-                                    let ix = ox * g.stride + kx;
-                                    acc +=
-                                        input[c * g.in_height * g.in_width + iy * g.in_width + ix];
-                                }
-                            }
-                            out[c * oh * ow + oy * ow + ox] = acc / area;
-                        }
+                for s in 0..samples {
+                    avg_pool(
+                        geometry,
+                        &inputs[s * n..(s + 1) * n],
+                        &mut out[s * m..(s + 1) * m],
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Average pooling of one channel-major input into `out`
+/// (`geometry.out_len()` values): each output is its window's sum, added in
+/// row-major window order, divided by the window area.
+fn avg_pool(g: &Pool2dGeometry, input: &[f32], out: &mut [f32]) {
+    let (oh, ow) = (g.out_height(), g.out_width());
+    let area = (g.window * g.window) as f32;
+    for c in 0..g.channels {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let mut acc = 0.0;
+                for ky in 0..g.window {
+                    for kx in 0..g.window {
+                        let iy = oy * g.stride + ky;
+                        let ix = ox * g.stride + kx;
+                        acc += input[c * g.in_height * g.in_width + iy * g.in_width + ix];
                     }
                 }
+                out[c * oh * ow + oy * ow + ox] = acc / area;
             }
         }
     }
@@ -336,6 +354,12 @@ pub struct SimulationOutcome {
     /// Number of transmitted spikes per raster (input raster first).
     pub spikes_per_layer: Vec<usize>,
 }
+
+/// Most samples one simulation tile advances layer by layer.  A tile of 8
+/// reads each dense weight once per 8 samples, fills the tiled mat-vec's
+/// register blocks, and equals the sweep engine's default chunk
+/// (`nrsnn_runtime::DEFAULT_BATCH_SIZE`), so every sweep chunk is one tile.
+pub(crate) const TILE: usize = 8;
 
 /// A converted spiking network: a chain of [`SnnLayer`]s simulated layer by
 /// layer under a chosen neural coding.
@@ -441,10 +465,11 @@ impl SnnNetwork {
     /// Simulates one inference under `coding`, injecting `noise` into every
     /// transmitted spike raster (including the input raster).
     ///
-    /// This is a thin wrapper over a one-shot [`SimWorkspace`]; use
-    /// [`SnnNetwork::simulate_with`] or [`SnnNetwork::simulate_batch`] to
-    /// amortise the workspace across many samples.  Results are bit-identical
-    /// to [`SnnNetwork::simulate_unbuffered`].
+    /// This is a thin wrapper over a one-shot [`SimWorkspace`] and a tile of
+    /// one sample; use [`SnnNetwork::simulate_with`] or
+    /// [`SnnNetwork::simulate_batch`] to amortise the workspace across many
+    /// samples.  Results are bit-identical to
+    /// [`SnnNetwork::simulate_unbuffered`].
     ///
     /// # Errors
     /// Returns [`SnnError::InputMismatch`] if the input width is wrong or
@@ -533,7 +558,8 @@ impl SnnNetwork {
 
     /// Simulates one inference through a reusable [`SimWorkspace`],
     /// returning the compact [`BatchOutcome`]; the logits and per-layer
-    /// spike counts stay readable from the workspace.
+    /// spike counts stay readable from the workspace.  This is a tile of
+    /// one sample.
     ///
     /// # Errors
     /// Returns [`SnnError::InputMismatch`] if the input width is wrong or
@@ -554,18 +580,22 @@ impl SnnNetwork {
                 actual: input.len(),
             });
         }
-        Ok(self.simulate_core(input, coding, cfg, noise, rng, ws))
+        self.simulate_tile(&[input], coding, cfg, noise, &mut [Some(rng)], ws);
+        Ok(ws.outcome())
     }
 
     /// Simulates the samples `range` of the rank-2 `inputs` tensor through
     /// one shared workspace, appending one [`BatchOutcome`] per sample to
     /// `out` (cleared first, capacity kept).
     ///
-    /// Each sample is simulated with the RNG produced by
-    /// `rng_for(sample_index)`, so callers control per-sample determinism
-    /// (the sweep engine derives one seed per sample, making results
-    /// independent of batching and thread count).  The configuration is
-    /// validated **once** per call instead of once per sample.
+    /// Samples run in layer-major tiles of up to 8 consecutive rows (see
+    /// [`SnnNetwork::simulate_batch_each`]), so each dense weight matrix is
+    /// read once per tile rather than once per sample.  Each sample is
+    /// simulated with the RNG produced by `rng_for(sample_index)`, so
+    /// callers control per-sample determinism (the sweep engine derives one
+    /// seed per sample, making results independent of batching, tiling and
+    /// thread count).  The configuration is validated **once** per call
+    /// instead of once per sample.
     ///
     /// After warm-up, steady-state simulation through this entry point
     /// performs zero heap allocations per sample (see the
@@ -598,15 +628,25 @@ impl SnnNetwork {
     }
 
     /// [`SnnNetwork::simulate_batch`] with a per-sample sink: after each
-    /// sample, `each(sample, outcome, workspace)` is invoked while that
-    /// sample's logits and per-layer spike counts are still readable from
-    /// the workspace ([`SimWorkspace::logits`] /
-    /// [`SimWorkspace::spikes_per_layer`]).
+    /// tile, `each(sample, outcome, workspace)` is invoked once per sample
+    /// of the tile, in `range` order, while that sample's logits and
+    /// per-layer spike counts are readable from the workspace
+    /// ([`SimWorkspace::logits`] / [`SimWorkspace::spikes_per_layer`]).
+    ///
+    /// The range runs in layer-major tiles of up to 8 consecutive samples:
+    /// `rng_for` is called for every sample of a tile, in sample order,
+    /// **before** the tile runs — and so ahead of that tile's `each` calls —
+    /// and `each` follows only once the tile's last layer is done.  Each
+    /// sample still draws from its own RNG exactly the values, in exactly
+    /// the order, it would draw alone, so results do not depend on the
+    /// tiling.  Stage events ([`SimWorkspace::stage_events`]) cover the
+    /// whole tile (see [`crate::StageEvent`]).
     ///
     /// This is the entry point for callers that need per-sample dense
     /// outputs without allocating one `Vec` per sample up front — the
     /// `nrsnn-serve` dynamic batcher copies each request's logits into its
-    /// response buffer from here.  Samples are visited in `range` order.
+    /// response buffer from here, so the replies of one tile are released
+    /// together.
     ///
     /// # Errors
     /// Same contract as [`SnnNetwork::simulate_batch`].
@@ -648,36 +688,63 @@ impl SnnNetwork {
                 inputs.dims()[0]
             )));
         }
-        for sample in range {
-            let row = inputs.row_slice(sample)?;
-            let mut rng = rng_for(sample);
-            let outcome = self.simulate_core(row, coding, cfg, noise, &mut rng, ws);
-            each(sample, outcome, ws);
+        let mut start = range.start;
+        while start < range.end {
+            let tile = start..(start + TILE).min(range.end);
+            // The tile's rows and RNGs live on the stack: no allocation.
+            let mut rows: [&[f32]; TILE] = [&[]; TILE];
+            let mut rngs: [Option<R>; TILE] = std::array::from_fn(|_| None);
+            for (k, sample) in tile.clone().enumerate() {
+                rows[k] = inputs.row_slice(sample)?;
+                rngs[k] = Some(rng_for(sample));
+            }
+            let mut lent: [Option<&mut dyn RngCore>; TILE] = Default::default();
+            for (slot, rng) in lent.iter_mut().zip(rngs.iter_mut().flatten()) {
+                *slot = Some(rng);
+            }
+            let len = tile.len();
+            self.simulate_tile(&rows[..len], coding, cfg, noise, &mut lent[..len], ws);
+            for (k, sample) in tile.enumerate() {
+                ws.tile_row = k;
+                each(sample, ws.outcome(), ws);
+            }
+            start += len;
         }
         Ok(())
     }
 
-    /// The shared arithmetic core of every simulation path.  Assumes the
-    /// configuration and input width have been validated by the caller.
-    fn simulate_core(
+    /// The arithmetic core of every simulation path: advances the tile of
+    /// samples `inputs` (one row each, with the RNG in the same slot of
+    /// `rngs`) through the network one layer at a time.  For each layer,
+    /// every sample in turn is encoded, corrupted with its own RNG and
+    /// decoded into its row of the tile's decoded matrix; then the layer's
+    /// forward runs once for the whole tile.  The per-sample results stay
+    /// in the workspace's tile matrices, shown from row 0.  Assumes the
+    /// configuration and input widths have been validated by the caller.
+    fn simulate_tile(
         &self,
-        input: &[f32],
+        inputs: &[&[f32]],
         coding: &dyn NeuralCoding,
         cfg: &CodingConfig,
         noise: &dyn SpikeTransform,
-        rng: &mut dyn RngCore,
+        rngs: &mut [Option<&mut dyn RngCore>],
         ws: &mut SimWorkspace,
-    ) -> BatchOutcome {
+    ) {
+        debug_assert_eq!(inputs.len(), rngs.len());
         let num_layers = self.layers.len();
+        let samples = inputs.len();
         // Grow (never shrink) the per-layer raster pools, so buffers reach a
-        // fixed point and later samples allocate nothing.
+        // fixed point and later tiles allocate nothing.
         if ws.rasters.len() < num_layers {
             ws.rasters.resize_with(num_layers, SpikeRaster::default);
         }
         if ws.received.len() < num_layers {
             ws.received.resize_with(num_layers, SpikeRaster::default);
         }
+        ws.tile_len = samples;
+        ws.tile_row = 0;
         ws.spikes_per_layer.clear();
+        ws.spikes_per_layer.resize(samples * num_layers, 0);
         ws.stage_events.clear();
         // Stage tracing piggybacks on the phase boundaries: each event ends
         // where the next begins, so the events tile the simulation exactly
@@ -689,92 +756,90 @@ impl SnnNetwork {
         } else {
             None
         };
-        // Encode the input pixels as the first spike raster.  Pixels are in
-        // [0, 1]; the coding clamps to its ceiling.
-        encode_vector_into(
-            input,
-            coding,
-            cfg,
-            &mut ws.rasters[0],
-            &mut ws.encode_scratch,
-        );
-        stage_mark(&mut ws.stage_events, &mut mark, SimStage::Encode, 0, 0.0);
         // Skipping an identity transform is exact: it would neither change
         // the raster nor consume randomness (see SpikeTransform::is_identity).
         let skip_noise = noise.is_identity();
 
         for (index, layer) in self.layers.iter().enumerate() {
-            // Synaptic noise corrupts the spikes actually transmitted to
-            // this layer.
-            let received = if skip_noise {
-                &ws.rasters[index]
-            } else {
-                noise.apply_into(&ws.rasters[index], &mut ws.received[index], rng);
-                stage_mark(
-                    &mut ws.stage_events,
-                    &mut mark,
-                    SimStage::Noise,
-                    index as u32,
-                    0.0,
-                );
-                &ws.received[index]
-            };
-            ws.spikes_per_layer.push(received.total_spikes());
-            // The activity fraction is trace data only; the untraced path
-            // skips the scan.
-            let density = if mark.is_some() {
-                received.density()
-            } else {
-                0.0
-            };
-
-            // Integrate the received trains through the coding's PSC kernel.
-            coding.decode_into(received, cfg, &mut ws.decoded, &mut ws.decode_scratch);
-            stage_mark(
-                &mut ws.stage_events,
-                &mut mark,
-                SimStage::Decode,
-                index as u32,
-                0.0,
-            );
-            layer.forward_analog_into(&ws.decoded, &mut ws.conv, &mut ws.activation);
-            stage_mark(
-                &mut ws.stage_events,
-                &mut mark,
-                SimStage::Forward,
-                index as u32,
-                density,
-            );
-            let is_last = index + 1 == num_layers;
-            if !is_last {
-                for v in &mut ws.activation {
-                    *v = v.max(0.0);
-                }
+            let width = layer.input_width();
+            let mut density = 0.0f32;
+            ws.tile_decoded.clear();
+            for (s, rng) in rngs.iter_mut().flatten().enumerate() {
+                // Encode the sample's input to this layer: the input pixels
+                // (in [0, 1]; the coding clamps to its ceiling), or the
+                // ReLU'd previous layer's output row.
+                let values: &[f32] = if index == 0 {
+                    inputs[s]
+                } else {
+                    let row = &mut ws.activation[s * width..(s + 1) * width];
+                    for v in row.iter_mut() {
+                        *v = v.max(0.0);
+                    }
+                    row
+                };
                 encode_vector_into(
-                    &ws.activation,
+                    values,
                     coding,
                     cfg,
-                    &mut ws.rasters[index + 1],
+                    &mut ws.rasters[index],
                     &mut ws.encode_scratch,
                 );
                 stage_mark(
                     &mut ws.stage_events,
                     &mut mark,
                     SimStage::Encode,
-                    index as u32 + 1,
+                    index as u32,
+                    0.0,
+                );
+                // Synaptic noise corrupts the spikes actually transmitted to
+                // this layer.
+                let received = if skip_noise {
+                    &ws.rasters[index]
+                } else {
+                    noise.apply_into(&ws.rasters[index], &mut ws.received[index], &mut **rng);
+                    stage_mark(
+                        &mut ws.stage_events,
+                        &mut mark,
+                        SimStage::Noise,
+                        index as u32,
+                        0.0,
+                    );
+                    &ws.received[index]
+                };
+                ws.spikes_per_layer[s * num_layers + index] = received.total_spikes();
+                // The activity fraction is trace data only; the untraced
+                // path skips the scan.
+                if mark.is_some() {
+                    density += received.density();
+                }
+                // Integrate the received trains through the coding's PSC
+                // kernel into the sample's row of the decoded matrix.
+                coding.decode_into(received, cfg, &mut ws.decoded, &mut ws.decode_scratch);
+                ws.tile_decoded.extend_from_slice(&ws.decoded);
+                stage_mark(
+                    &mut ws.stage_events,
+                    &mut mark,
+                    SimStage::Decode,
+                    index as u32,
                     0.0,
                 );
             }
-        }
-
-        BatchOutcome {
-            predicted: argmax(&ws.activation),
-            total_spikes: ws.spikes_per_layer.iter().sum(),
+            layer.forward_tile_into(&ws.tile_decoded, samples, &mut ws.conv, &mut ws.activation);
+            stage_mark(
+                &mut ws.stage_events,
+                &mut mark,
+                SimStage::Forward,
+                index as u32,
+                density / samples as f32,
+            );
         }
     }
 
     /// Simulates every row of `inputs` and reports accuracy and spike
     /// statistics against `labels`.
+    ///
+    /// All samples draw from the one caller RNG, in row order, so each row
+    /// runs as a tile of one: a larger tile would reorder the draws.
     ///
     /// # Errors
     /// Returns [`SnnError::InvalidConfig`] if the label count does not match
@@ -809,7 +874,8 @@ impl SnnNetwork {
         let mut total_spikes = 0usize;
         for (i, &label) in labels.iter().enumerate() {
             let row = inputs.row_slice(i)?;
-            let outcome = self.simulate_core(row, coding, cfg, noise, rng, &mut ws);
+            self.simulate_tile(&[row], coding, cfg, noise, &mut [Some(&mut *rng)], &mut ws);
+            let outcome = ws.outcome();
             if outcome.predicted == label {
                 correct += 1;
             }
@@ -887,20 +953,6 @@ fn stage_mark(
         });
         *mark = Some(end);
     }
-}
-
-fn argmax(values: &[f32]) -> usize {
-    values
-        .iter()
-        .enumerate()
-        .fold((0usize, f32::NEG_INFINITY), |(bi, bv), (i, &v)| {
-            if v > bv {
-                (i, v)
-            } else {
-                (bi, bv)
-            }
-        })
-        .0
 }
 
 #[cfg(test)]

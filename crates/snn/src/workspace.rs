@@ -1,17 +1,21 @@
 //! Reusable simulation scratch: the [`SimWorkspace`] threaded through the
 //! batched inference engine.
 //!
-//! One SNN inference relays every layer through encode → noise → decode →
-//! analog forward, and needs per layer a spike raster, a noisy copy of it,
-//! a decoded activation vector, a dense output vector and — for
-//! convolution layers — an `im2col` patch matrix, a transposed kernel bank
-//! and their product.  The original `SnnNetwork::simulate` allocated all of
-//! these afresh on every call, which dominated the cost of the paper's
-//! `(coding × noise level × sample)` sweep grids.  A `SimWorkspace` owns all
-//! of those buffers once; the batched entry points
+//! The engine advances a *tile* of up to 8 samples one layer at a time:
+//! each sample of the tile is encoded, corrupted and decoded in turn into
+//! one row of a per-tile decoded matrix, then the layer's analog forward
+//! runs once for the whole tile into a per-tile activation matrix.  That
+//! needs per layer a spike raster and a noisy copy of it (shared by the
+//! tile's samples, which pass through one after another), a per-sample
+//! decoded vector, the two per-tile matrices, per-sample spike counts and —
+//! for convolution layers — an `im2col` patch matrix, a transposed kernel
+//! bank and their product.  The original `SnnNetwork::simulate` allocated
+//! such buffers afresh on every call, which dominated the cost of the
+//! paper's `(coding × noise level × sample)` sweep grids.  A `SimWorkspace`
+//! owns all of them once; the entry points
 //! ([`crate::SnnNetwork::simulate_batch`] and friends) clear-and-refill them
-//! per sample, so after the first (warm-up) sample the steady-state
-//! allocation count per simulated sample is **zero** — verified by the
+//! per tile, so after the first (warm-up) batch the steady-state allocation
+//! count per simulated sample is **zero** — verified by the
 //! `alloc_regression` integration test.
 //!
 //! The workspace stores no results that influence later samples: every
@@ -53,6 +57,7 @@
 // onto the obs epoch at ingest.
 use std::time::Instant;
 
+use crate::network::TILE;
 use crate::{CodingConfig, CodingScratch, SnnLayer, SnnNetwork, SpikeRaster};
 
 /// The simulation phase a [`StageEvent`] attributes time to. This is the
@@ -71,12 +76,21 @@ pub enum SimStage {
     Forward,
 }
 
-/// One timed phase of the most recent simulation, produced when stage
-/// tracing is enabled via [`SimWorkspace::set_stage_tracing`].
+/// One timed phase of the most recent tile, produced when stage tracing is
+/// enabled via [`SimWorkspace::set_stage_tracing`].
 ///
-/// Consecutive events tile the simulation: each event's `start` is the
-/// previous event's `end`, so summing durations reconstructs the full
-/// simulate time with no gaps.
+/// Consecutive events cover the tile with no gaps: each event's `start` is
+/// the previous event's `end`, so summing durations reconstructs the
+/// tile's full simulate time.  Events are recorded in execution order: per
+/// layer, one encode, noise and decode event for each sample of the tile in
+/// sample order, then one forward event for the whole tile.  A tile of one
+/// sample (every [`crate::SnnNetwork::simulate_with`] call, and
+/// [`crate::SnnNetwork::evaluate`]) therefore yields exactly that sample's
+/// encode → noise → decode → forward sequence per layer.  In a larger tile
+/// the samples share one timeline: [`SimWorkspace::stage_events`] returns
+/// the whole tile's list while any of its samples is shown, so each
+/// sample's list is contiguous and monotone and spans the time it spent in
+/// the engine, its tile companions' stages included.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageEvent {
     /// Which phase the time was spent in.
@@ -93,7 +107,8 @@ pub struct StageEvent {
     /// benchmark's `tensor.sparse_frac`) keep reading a well-defined `0`.
     pub sparse: bool,
     /// For [`SimStage::Forward`]: the fraction of the layer's received
-    /// neurons that fired ([`SpikeRaster::density`]); `0.0` otherwise.
+    /// neurons that fired ([`SpikeRaster::density`]), averaged over the
+    /// tile's samples; `0.0` otherwise.
     pub density: f32,
 }
 
@@ -109,27 +124,31 @@ pub(crate) struct ConvScratch {
     pub(crate) prod: Vec<f32>,
 }
 
-/// Reusable per-inference scratch buffers for the batched simulation engine.
+/// Reusable per-tile scratch buffers for the simulation engine.
 ///
 /// Create one per worker thread (or one per serial loop), then hand it to
 /// [`SnnNetwork::simulate_with`] or [`SnnNetwork::simulate_batch`]; the
-/// workspace grows to the largest network/window it has seen and never
+/// workspace grows to the largest network/window/tile it has seen and never
 /// shrinks, so steady-state simulation performs no heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct SimWorkspace {
     /// One raster per layer: `rasters[i]` is the (clean) raster entering
-    /// layer `i`.  Keeping them per layer — instead of ping-ponging one
-    /// buffer through widths that alternate every layer — is what lets the
-    /// per-neuron spike buffers reach a fixed point after warm-up: a
-    /// `Vec<Vec<u32>>` that shrank would drop its tail buffers and have to
-    /// reallocate them on the next sample.
+    /// layer `i`, reused by each sample of a tile in turn.  Keeping them
+    /// per layer — instead of ping-ponging one buffer through widths that
+    /// alternate every layer — is what lets the per-neuron spike buffers
+    /// reach a fixed point after warm-up: a `Vec<Vec<u32>>` that shrank
+    /// would drop its tail buffers and have to reallocate them on the next
+    /// sample.
     pub(crate) rasters: Vec<SpikeRaster>,
     /// Per-layer noise-corrupted rasters actually received by each layer;
     /// unused (and untouched) when the transform reports itself as the
     /// identity.
     pub(crate) received: Vec<SpikeRaster>,
-    /// PSC-decoded activations entering the current layer.
+    /// PSC-decoded activations of the sample being decoded.
     pub(crate) decoded: Vec<f32>,
+    /// The tile's decoded matrix: row `s` holds sample `s`'s decoded
+    /// input to the current layer (`tile_len × input width`).
+    pub(crate) tile_decoded: Vec<f32>,
     /// Reusable decode scratch handed to
     /// [`crate::NeuralCoding::decode_into`] (e.g. TTAS tabulates its PSC
     /// kernel in here once per raster instead of exp-ing per spike).
@@ -139,17 +158,24 @@ pub struct SimWorkspace {
     /// encoders compute per-neuron counts/ratios/bit patterns in here 8
     /// lanes at a time before materialising the spike trains.
     pub(crate) encode_scratch: CodingScratch,
-    /// Dense output of the current layer; after a simulation this holds the
-    /// logits of the output layer.
+    /// The tile's activation matrix: row `s` holds sample `s`'s output of
+    /// the current layer (`tile_len × output width`); after a tile it
+    /// holds the logits of every sample.
     pub(crate) activation: Vec<f32>,
     /// Convolution scratch (empty for pure-MLP networks).
     pub(crate) conv: ConvScratch,
-    /// Transmitted spike count per raster, input raster first.
+    /// Transmitted spike count per raster, input raster first, one row of
+    /// `num_layers` counts per sample of the tile.
     pub(crate) spikes_per_layer: Vec<usize>,
-    /// Per-phase timing of the most recent simulation; only filled when
-    /// `trace_enabled` is set, cleared at the start of every sample.
+    /// Samples in the most recent tile (`0` before the first simulation).
+    pub(crate) tile_len: usize,
+    /// The row of the most recent tile that [`SimWorkspace::logits`] and
+    /// [`SimWorkspace::spikes_per_layer`] show.
+    pub(crate) tile_row: usize,
+    /// Per-phase timing of the most recent tile; only filled when
+    /// `trace_enabled` is set, cleared at the start of every tile.
     pub(crate) stage_events: Vec<StageEvent>,
-    /// Whether `simulate_core` should timestamp its phases. Off by
+    /// Whether the simulation core should timestamp its phases. Off by
     /// default: the simulation sweep paths pay zero instrumentation cost.
     pub(crate) trace_enabled: bool,
 }
@@ -181,11 +207,12 @@ impl SimWorkspace {
             }
         }
         ws.decoded.reserve(max_width);
-        ws.activation.reserve(max_width);
+        ws.tile_decoded.reserve(TILE * max_width);
+        ws.activation.reserve(TILE * max_width);
         ws.decode_scratch.reserve(cfg.time_steps as usize);
         ws.encode_scratch.lanes.reserve(max_width);
         ws.encode_scratch.bits.reserve(max_width);
-        ws.spikes_per_layer.reserve(network.num_layers());
+        ws.spikes_per_layer.reserve(TILE * network.num_layers());
         // One raster pair per layer, each sized for that layer's input
         // width; the per-train spike buffers still grow lazily on the first
         // sample.
@@ -198,28 +225,39 @@ impl SimWorkspace {
         ws
     }
 
-    /// Output-layer activations of the most recent simulation (the logits a
-    /// [`crate::SimulationOutcome`] would carry).
+    /// Output-layer activations of the shown sample (the logits a
+    /// [`crate::SimulationOutcome`] would carry): inside a
+    /// [`SnnNetwork::simulate_batch_each`] sink the sample being visited,
+    /// otherwise the most recently simulated sample.
     pub fn logits(&self) -> &[f32] {
-        &self.activation
+        matrix_row(&self.activation, self.tile_len, self.tile_row)
     }
 
-    /// Transmitted spikes per raster (input raster first) of the most recent
-    /// simulation.
+    /// Transmitted spikes per raster (input raster first) of the shown
+    /// sample (see [`SimWorkspace::logits`]).
     pub fn spikes_per_layer(&self) -> &[usize] {
-        &self.spikes_per_layer
+        matrix_row(&self.spikes_per_layer, self.tile_len, self.tile_row)
+    }
+
+    /// The compact outcome of the shown sample.
+    pub(crate) fn outcome(&self) -> BatchOutcome {
+        BatchOutcome {
+            predicted: argmax(self.logits()),
+            total_spikes: self.spikes_per_layer().iter().sum(),
+        }
     }
 
     /// Enables or disables per-phase stage timing. When enabled, every
-    /// simulation fills [`SimWorkspace::stage_events`] with one
-    /// [`StageEvent`] per encode/noise/decode/forward phase. Tracing never
-    /// touches the RNG stream, so results are bit-identical either way.
+    /// tile fills [`SimWorkspace::stage_events`] with one [`StageEvent`]
+    /// per encode/noise/decode/forward phase. Tracing never touches the
+    /// RNG stream or the tile size, so results are bit-identical either
+    /// way.
     pub fn set_stage_tracing(&mut self, enabled: bool) {
         self.trace_enabled = enabled;
         if enabled && self.stage_events.capacity() == 0 {
-            // Enough for a deep network without a warm-up allocation:
-            // at most 4 phases per layer.
-            self.stage_events.reserve(64);
+            // Enough for a full tile through a deep network without a
+            // warm-up allocation: at most `3·TILE + 1` phases per layer.
+            self.stage_events.reserve(256);
         }
     }
 
@@ -228,19 +266,45 @@ impl SimWorkspace {
         self.trace_enabled
     }
 
-    /// Per-phase timing of the most recent simulation (empty unless
-    /// tracing is enabled via [`SimWorkspace::set_stage_tracing`]).
+    /// Per-phase timing of the most recent tile (empty unless tracing is
+    /// enabled via [`SimWorkspace::set_stage_tracing`]); every sample of
+    /// the tile shares this list (see [`StageEvent`]).
     pub fn stage_events(&self) -> &[StageEvent] {
         &self.stage_events
     }
 }
 
+/// Row `row` of a `rows × (len / rows)` matrix; empty before the first
+/// tile.
+fn matrix_row<T>(matrix: &[T], rows: usize, row: usize) -> &[T] {
+    if rows == 0 {
+        return &[];
+    }
+    let width = matrix.len() / rows;
+    &matrix[row * width..(row + 1) * width]
+}
+
+/// Index of the largest value (the first on ties; NaN never wins).
+pub(crate) fn argmax(values: &[f32]) -> usize {
+    values
+        .iter()
+        .enumerate()
+        .fold((0usize, f32::NEG_INFINITY), |(bi, bv), (i, &v)| {
+            if v > bv {
+                (i, v)
+            } else {
+                (bi, bv)
+            }
+        })
+        .0
+}
+
 /// Compact per-sample result of the batched simulation path.
 ///
 /// Unlike [`crate::SimulationOutcome`] this is `Copy` and carries no owned
-/// buffers — the logits and per-layer spike counts of the *last* simulated
-/// sample remain readable from the workspace via [`SimWorkspace::logits`]
-/// and [`SimWorkspace::spikes_per_layer`].
+/// buffers — the logits and per-layer spike counts of the shown sample
+/// remain readable from the workspace via [`SimWorkspace::logits`] and
+/// [`SimWorkspace::spikes_per_layer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchOutcome {
     /// Index of the winning output neuron.

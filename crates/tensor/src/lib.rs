@@ -39,8 +39,8 @@ pub use error::TensorError;
 pub use init::{he_normal, uniform, xavier_uniform};
 pub use linalg::{
     matmul, matmul_into, matmul_slices, matmul_sparse_into, matmul_sparse_slices, matvec,
-    matvec_bias_slices, matvec_into, matvec_slices, outer, transpose, transpose_into,
-    transpose_slices,
+    matvec_bias_slices, matvec_bias_tile_slices, matvec_into, matvec_slices, outer, transpose,
+    transpose_into, transpose_slices,
 };
 pub use shape::Shape;
 pub use tensor::Tensor;

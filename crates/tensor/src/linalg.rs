@@ -71,6 +71,27 @@ pub fn matvec_bias_slices(a: &[f32], m: usize, n: usize, x: &[f32], bias: &[f32]
     simd::matvec_bias_slices_with(active_backend(), a, m, n, x, bias, out);
 }
 
+/// [`matvec_bias_slices`] over a tile of `samples` input rows at once: `x`
+/// is `samples × n` and `out` is `samples × m`, both row-major, and row `s`
+/// of `out` is bit for bit what [`matvec_bias_slices`] computes for row `s`
+/// of `x` alone.  Each weight row is read once per register tile of
+/// samples instead of once per sample, which is what makes a layer-major
+/// batch cheaper per sample than the same samples one at a time.
+///
+/// # Panics
+/// Asserts the slice lengths before touching any data.
+pub fn matvec_bias_tile_slices(
+    a: &[f32],
+    m: usize,
+    n: usize,
+    x: &[f32],
+    samples: usize,
+    bias: &[f32],
+    out: &mut [f32],
+) {
+    simd::matvec_bias_tile_slices_with(active_backend(), a, m, n, x, samples, bias, out);
+}
+
 /// Sparsity-aware matrix product with a per-column bias: computes
 /// `out[i,j] = (bias[j] + 0.0) + Σ_k a[i,k]·b[k,j]`, skipping every
 /// exact-zero `a[i,k]` entry, so cost is `O(nnz(a)·n + m·n)` instead of

@@ -33,57 +33,181 @@ pub(crate) fn seed_from_bias(b: f32) -> f32 {
     b + 0.0
 }
 
-/// Dense mat-vec with optional bias seeding: `out[i] = seed(bias[i]) + Σ_j
-/// a[i][j]·x[j]` in the canonical lane-blocked order.  An empty `bias`
-/// means "no bias": `out[i]` is the plain dot product.
+/// Tiled dense mat-vec with optional bias seeding: for each of the
+/// `samples` rows of `x` (`samples × n`, row-major), `out[s·m + i] =
+/// seed(bias[i]) + Σ_j a[i][j]·x[s][j]` in the canonical lane-blocked
+/// order.  An empty `bias` means "no bias": the plain dot products.
+///
+/// Every `(row, sample)` output runs exactly the one-sample sequence —
+/// ascending 8-wide column blocks into one lane accumulator (separate
+/// multiply and add), the [`super::vec::reduce8`] tree, the `n % 8` tail
+/// in order, then `seed(bias) + sum` — so the bits do not depend on the
+/// tile.  The tile only changes which independent accumulator chains are
+/// in flight: on AVX2 a register block of 2 weight rows × 4 samples keeps
+/// 8 accumulators and spends 6 loads per 8 multiply-adds, and the rows
+/// loop outside the samples, so each weight row is read from memory once
+/// per tile instead of once per sample.  Narrow tiles interleave 4 rows
+/// instead, so even one sample keeps 4 chains busy; backends whose vector
+/// takes two registers block 2 samples at a time (see
+/// [`F32x8::TILE_SAMPLES`]).
 ///
 /// # Safety
-/// Requires `a.len() == m*n`, `x.len() == n`, `out.len() == m` and
-/// `bias.len() ∈ {0, m}`; the backend `V` must be runnable on this CPU.
+/// Requires `a.len() == m*n`, `x.len() == samples*n`, `out.len() ==
+/// samples*m` and `bias.len() ∈ {0, m}`; the backend `V` must be runnable
+/// on this CPU.
 #[inline(always)]
-pub(crate) unsafe fn matvec_generic<V: F32x8>(
+#[allow(clippy::too_many_arguments)]
+pub(crate) unsafe fn matvec_tile_generic<V: F32x8>(
     a: &[f32],
     m: usize,
     n: usize,
     x: &[f32],
+    samples: usize,
     bias: &[f32],
     out: &mut [f32],
 ) {
     debug_assert_eq!(a.len(), m * n);
-    debug_assert_eq!(x.len(), n);
-    debug_assert_eq!(out.len(), m);
+    debug_assert_eq!(x.len(), samples * n);
+    debug_assert_eq!(out.len(), samples * m);
     debug_assert!(bias.is_empty() || bias.len() == m);
-    let nb = n - (n % BLOCK);
-    let ap = a.as_ptr();
-    let xp = x.as_ptr();
-    let has_bias = !bias.is_empty();
-    for (i, o) in out.iter_mut().enumerate() {
-        // SAFETY: `i < m`, so row `i*n..i*n+n` lies inside `a` (len `m*n`).
-        let row = unsafe { ap.add(i * n) };
-        // SAFETY: register-only lane op; the backend is runnable per dispatch.
-        let mut acc = unsafe { V::zero() };
-        let mut b = 0usize;
-        while b < nb {
-            // SAFETY: `b + 8 <= nb <= n == x.len()` — the block is inside `x`.
-            let xv = unsafe { V::load(xp.add(b)) };
-            // SAFETY: `b + 8 <= nb <= n` — the block is inside row `i` of `a`.
-            let rv = unsafe { V::load(row.add(b)) };
-            // SAFETY: register-only lane op; the backend is runnable per dispatch.
-            acc = unsafe { acc.add(rv.mul(xv)) };
-            b += BLOCK;
-        }
-        // SAFETY: register-only lane op; the backend is runnable per dispatch.
-        let mut s = unsafe { acc.reduce() };
-        for j in nb..n {
-            // SAFETY: tail `j < n`, inside both the row span and `x`.
-            s += unsafe { *row.add(j) * *xp.add(j) };
-        }
-        *o = if has_bias {
-            seed_from_bias(bias[i]) + s
-        } else {
-            s
+    let tile = Tile {
+        a: a.as_ptr(),
+        m,
+        n,
+        nb: n - (n % BLOCK),
+        x: x.as_ptr(),
+        samples,
+        bias,
+        out: out.as_mut_ptr(),
+    };
+    if 2 * samples.min(V::TILE_SAMPLES) <= V::TILE_SAMPLES {
+        // SAFETY: `tile` carries this fn's `# Safety` contract, which the
+        // caller upholds.
+        unsafe { tile_rows::<V, 4>(&tile) }
+    } else {
+        // SAFETY: as above.
+        unsafe { tile_rows::<V, 2>(&tile) }
+    }
+}
+
+/// The operands of one [`matvec_tile_generic`] call, as raw pointers
+/// checked once against its `# Safety` contract.
+struct Tile<'a> {
+    a: *const f32,
+    m: usize,
+    n: usize,
+    /// Columns covered by whole 8-wide blocks: `n - n % 8`.
+    nb: usize,
+    x: *const f32,
+    samples: usize,
+    bias: &'a [f32],
+    out: *mut f32,
+}
+
+/// Runs every sample of the tile over the weight rows in blocks of `R`
+/// (the `m % R` remainder rows one at a time), so each block of rows is
+/// read from memory once for the whole tile.
+///
+/// # Safety
+/// `t` must satisfy the [`matvec_tile_generic`] contract.
+#[inline(always)]
+unsafe fn tile_rows<V: F32x8, const R: usize>(t: &Tile<'_>) {
+    let full = t.m - t.m % R;
+    let mut i = 0usize;
+    while i < full {
+        // SAFETY: rows `i..i+R` lie below `full <= m`.
+        unsafe { tile_samples::<V, R>(t, i) };
+        i += R;
+    }
+    while i < t.m {
+        // SAFETY: row `i < m`.
+        unsafe { tile_samples::<V, 1>(t, i) };
+        i += 1;
+    }
+}
+
+/// Runs rows `i..i+R` against the tile's samples in groups of up to
+/// [`F32x8::TILE_SAMPLES`].
+///
+/// # Safety
+/// `i + R <= t.m`, and `t` satisfies the [`matvec_tile_generic`] contract.
+#[inline(always)]
+unsafe fn tile_samples<V: F32x8, const R: usize>(t: &Tile<'_>, i: usize) {
+    let mut s = 0usize;
+    while s < t.samples {
+        // Each arm covers `S <= t.samples - s` samples; rows per the caller.
+        s += match (t.samples - s).min(V::TILE_SAMPLES) {
+            // SAFETY: sample `s` lies below `t.samples`.
+            1 => unsafe { tile_block::<V, R, 1>(t, i, s) },
+            // SAFETY: samples `s..s+2` lie below `t.samples`.
+            2 => unsafe { tile_block::<V, R, 2>(t, i, s) },
+            // SAFETY: samples `s..s+3` lie below `t.samples`.
+            3 => unsafe { tile_block::<V, R, 3>(t, i, s) },
+            // SAFETY: at least 4 samples remain from `s`.
+            _ => unsafe { tile_block::<V, R, 4>(t, i, s) },
         };
     }
+}
+
+/// The register block: `R` weight rows × `S` samples in `R·S` lane
+/// accumulators, then the canonical reduce, tail and bias seed per
+/// output.  Returns `S`, the samples it covered.
+///
+/// # Safety
+/// `i + R <= t.m`, `s + S <= t.samples`, and `t` satisfies the
+/// [`matvec_tile_generic`] contract.
+#[inline(always)]
+unsafe fn tile_block<V: F32x8, const R: usize, const S: usize>(
+    t: &Tile<'_>,
+    i: usize,
+    s: usize,
+) -> usize {
+    // SAFETY: register-only lane op; the backend is runnable per dispatch.
+    let zero = unsafe { V::zero() };
+    let mut acc = [[zero; S]; R];
+    let mut xv = [zero; S];
+    let mut b = 0usize;
+    while b < t.nb {
+        for (q, v) in xv.iter_mut().enumerate() {
+            // SAFETY: sample `s + q < samples` and `b + 8 <= nb <= n`, so
+            // the block is inside row `s + q` of `x` (len `samples*n`).
+            *v = unsafe { V::load(t.x.add((s + q) * t.n + b)) };
+        }
+        for (r, chains) in acc.iter_mut().enumerate() {
+            // SAFETY: row `i + r < m` and `b + 8 <= nb <= n`, so the block
+            // is inside row `i + r` of `a` (len `m*n`).
+            let w = unsafe { V::load(t.a.add((i + r) * t.n + b)) };
+            for (c, &xq) in chains.iter_mut().zip(&xv) {
+                // SAFETY: register-only lane op; the backend is runnable
+                // per dispatch.
+                *c = unsafe { c.add(w.mul(xq)) };
+            }
+        }
+        b += BLOCK;
+    }
+    for (r, chains) in acc.iter().enumerate() {
+        // SAFETY: row `i + r < m`: `(i+r)*n..(i+r+1)*n` lies inside `a`.
+        let row = unsafe { t.a.add((i + r) * t.n) };
+        for (q, c) in chains.iter().enumerate() {
+            // SAFETY: sample `s + q < samples`: its row lies inside `x`.
+            let xs = unsafe { t.x.add((s + q) * t.n) };
+            // SAFETY: register-only lane op; the backend is runnable per
+            // dispatch.
+            let mut sum = unsafe { c.reduce() };
+            for j in t.nb..t.n {
+                // SAFETY: tail `j < n`, inside both row spans above.
+                sum += unsafe { *row.add(j) * *xs.add(j) };
+            }
+            let o = if t.bias.is_empty() {
+                sum
+            } else {
+                seed_from_bias(t.bias[i + r]) + sum
+            };
+            // SAFETY: `(s+q)*m + i+r < samples*m == out.len()`.
+            unsafe { *t.out.add((s + q) * t.m + i + r) = o };
+        }
+    }
+    S
 }
 
 /// Mat-mul: `out = seedrow(bias) .+ a·b` where `a` is `m×k`,

@@ -254,17 +254,19 @@ mod x86 {
             // SAFETY: thin per-ISA wrapper; callers must uphold the generic
             // kernel's `# Safety` contract, forwarded verbatim.
             #[target_feature(enable = $feature)]
-            pub(crate) unsafe fn matvec(
+            #[allow(clippy::too_many_arguments)]
+            pub(crate) unsafe fn matvec_tile(
                 a: &[f32],
                 m: usize,
                 n: usize,
                 x: &[f32],
+                samples: usize,
                 bias: &[f32],
                 out: &mut [f32],
             ) {
                 // SAFETY: same contract as the callee; the `target_feature`
                 // gate matches the instantiated backend's ISA.
-                unsafe { kernels::matvec_generic::<$vty>(a, m, n, x, bias, out) }
+                unsafe { kernels::matvec_tile_generic::<$vty>(a, m, n, x, samples, bias, out) }
             }
 
             // SAFETY: thin per-ISA wrapper; callers must uphold the generic
@@ -418,7 +420,10 @@ pub fn matvec_slices_with(
     assert_eq!(a.len(), m * n, "matvec: a.len() != m*n");
     assert_eq!(x.len(), n, "matvec: x.len() != n");
     assert_eq!(out.len(), m, "matvec: out.len() != m");
-    dispatch!(backend, matvec_generic::matvec(a, m, n, x, &[], out))
+    dispatch!(
+        backend,
+        matvec_tile_generic::matvec_tile(a, m, n, x, 1, &[], out)
+    )
 }
 
 /// [`crate::matvec_bias_slices`] on an explicit backend: `out[i] =
@@ -441,7 +446,49 @@ pub fn matvec_bias_slices_with(
     assert_eq!(x.len(), n, "matvec_bias: x.len() != n");
     assert_eq!(bias.len(), m, "matvec_bias: bias.len() != m");
     assert_eq!(out.len(), m, "matvec_bias: out.len() != m");
-    dispatch!(backend, matvec_generic::matvec(a, m, n, x, bias, out))
+    dispatch!(
+        backend,
+        matvec_tile_generic::matvec_tile(a, m, n, x, 1, bias, out)
+    )
+}
+
+/// [`crate::matvec_bias_tile_slices`] on an explicit backend: for each of
+/// the `samples` rows of `x` (`samples × n`, row-major), `out[s·m + i] =
+/// (bias[i] + 0.0) + Σ_j a[i][j]·x[s][j]` — every output bit for bit what
+/// [`matvec_bias_slices_with`] computes for that sample alone, with each
+/// weight row read once per register tile of samples instead of once per
+/// sample.
+///
+/// # Panics
+/// If any slice length disagrees with `m`/`n`/`samples` (real assertions,
+/// see [`matvec_slices_with`]).
+#[allow(clippy::too_many_arguments)]
+pub fn matvec_bias_tile_slices_with(
+    backend: SimdBackend,
+    a: &[f32],
+    m: usize,
+    n: usize,
+    x: &[f32],
+    samples: usize,
+    bias: &[f32],
+    out: &mut [f32],
+) {
+    assert_eq!(a.len(), m * n, "matvec_bias_tile: a.len() != m*n");
+    assert_eq!(
+        x.len(),
+        samples * n,
+        "matvec_bias_tile: x.len() != samples*n"
+    );
+    assert_eq!(bias.len(), m, "matvec_bias_tile: bias.len() != m");
+    assert_eq!(
+        out.len(),
+        samples * m,
+        "matvec_bias_tile: out.len() != samples*m"
+    );
+    dispatch!(
+        backend,
+        matvec_tile_generic::matvec_tile(a, m, n, x, samples, bias, out)
+    )
 }
 
 /// [`crate::matmul_slices`] on an explicit backend: `out = a·b` in the

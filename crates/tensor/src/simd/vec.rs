@@ -32,6 +32,13 @@ pub const BLOCK: usize = 8;
 /// only run on CPUs that support their ISA (guaranteed by the runtime
 /// dispatch in [`super::SimdBackend::resolve`]).
 pub(crate) trait F32x8: Copy {
+    /// Most samples one register block of the tiled mat-vec holds.  A
+    /// block of 2 weight rows keeps `2·TILE_SAMPLES` accumulators plus
+    /// `TILE_SAMPLES` sample loads and a weight load live, which must fit
+    /// the backend's vector registers: 4 on AVX2 (13 of 16 `ymm`), 2 where
+    /// one vector takes two `xmm` halves.  The shape never changes a bit,
+    /// only how many accumulator chains are in flight.
+    const TILE_SAMPLES: usize;
     /// All lanes `+0.0`.
     ///
     /// # Safety
@@ -141,6 +148,8 @@ pub(crate) trait F32x8: Copy {
 pub(crate) struct ScalarV([f32; 8]);
 
 impl F32x8 for ScalarV {
+    const TILE_SAMPLES: usize = 2;
+
     // SAFETY: trivially safe — plain arithmetic on owned lanes; `unsafe`
     // only to match the trait signature.
     #[inline(always)]
@@ -367,6 +376,8 @@ mod x86 {
     pub(crate) struct Sse2V(__m128, __m128);
 
     impl F32x8 for Sse2V {
+        const TILE_SAMPLES: usize = 2;
+
         // SAFETY: register-only lane arithmetic, no memory access; SSE2 is part of the
         // x86_64 baseline, so the intrinsics are always available here.
         #[inline(always)]
@@ -525,6 +536,8 @@ mod x86 {
     pub(crate) struct Avx2V(__m256);
 
     impl F32x8 for Avx2V {
+        const TILE_SAMPLES: usize = 4;
+
         // SAFETY: register-only lane arithmetic, no memory access; the dispatch layer
         // verified AVX2 support before selecting this backend.
         #[inline(always)]

@@ -11,7 +11,8 @@
 
 use nrsnn_tensor::simd::{
     available_backends, im2col_slices_with, matmul_slices_with, matmul_sparse_slices_with,
-    matvec_bias_slices_with, matvec_slices_with, sum8_by, sum_gather_with, SimdBackend,
+    matvec_bias_slices_with, matvec_bias_tile_slices_with, matvec_slices_with, sum8_by,
+    sum_gather_with, SimdBackend,
 };
 use nrsnn_tensor::{
     im2col_into, matmul_into, matmul_sparse_into, matvec_into, Conv2dGeometry, Tensor, TensorError,
@@ -136,6 +137,60 @@ fn matvec_bias_every_isa_matches_scalar_bitwise() {
             let mut out = vec![f32::NAN; m];
             matvec_bias_slices_with(isa, &a, m, n, &x, &bias, &mut out);
             assert_eq!(bits(&out), bits(&reference), "{isa:?} m={m} n={n}");
+        }
+    }
+}
+
+/// The tiled mat-vec against per-sample `matvec_bias_slices`, bit for bit:
+/// every tile size 1..=8 on every ISA (scalar included), with widths that
+/// leave an `n % 8` tail, row counts that are not a multiple of the 2- or
+/// 4-row register block, a `-0.0` bias entry, and non-finite inputs.  The
+/// one-sample path is itself pinned to the canonical order: `(bias + 0.0)
+/// + sum8_by(n, a[i][j]·x[j])`.
+#[test]
+fn matvec_tile_matches_per_sample_matvec_bitwise() {
+    let mut rng = rng_for("matvec_tile_matches_per_sample_matvec_bitwise");
+    const NON_FINITE: [f32; 3] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    for case in 0..CASES as usize {
+        let m = [1usize, 3, 5, 7, 9, 10, 13][case % 7];
+        let n = [1usize, 7, 9, 13, 17, 23, 31][(case / 7) % 7];
+        let a = draw_vec(&mut rng, m * n, false);
+        let mut bias = draw_vec(&mut rng, m, false);
+        bias[rng.gen_range(0..m)] = -0.0;
+        let mut x = draw_vec(&mut rng, 8 * n, true);
+        if case % 3 == 0 {
+            let at = rng.gen_range(0..x.len());
+            x[at] = NON_FINITE[case % NON_FINITE.len()];
+        }
+        // Per-sample reference on the scalar backend.
+        let mut reference = vec![f32::NAN; 8 * m];
+        for (xs, out) in x.chunks(n).zip(reference.chunks_mut(m)) {
+            matvec_bias_slices_with(SimdBackend::Scalar, &a, m, n, xs, &bias, out);
+        }
+        for (i, &r) in reference[..m].iter().enumerate() {
+            let row = &a[i * n..(i + 1) * n];
+            let canonical = (bias[i] + 0.0) + sum8_by(n, |j| row[j] * x[j]);
+            assert_eq!(r.to_bits(), canonical.to_bits(), "m={m} n={n} row {i}");
+        }
+        for isa in available_backends() {
+            for samples in 1..=8usize {
+                let mut out = vec![f32::NAN; samples * m];
+                matvec_bias_tile_slices_with(
+                    isa,
+                    &a,
+                    m,
+                    n,
+                    &x[..samples * n],
+                    samples,
+                    &bias,
+                    &mut out,
+                );
+                assert_eq!(
+                    bits(&out),
+                    bits(&reference[..samples * m]),
+                    "{isa:?} m={m} n={n} samples={samples}"
+                );
+            }
         }
     }
 }

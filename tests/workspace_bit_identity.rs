@@ -122,7 +122,7 @@ fn simulate_matches_unbuffered_reference_bitwise() {
 
 /// A deterministic Conv → AvgPool → Linear network: exercises the
 /// convolution (`im2col` + transpose + matmul scratch) and pooling arms of
-/// `forward_analog_into`, which the MLP pipelines never touch.
+/// `forward_tile_into`, which the MLP pipelines never touch.
 fn conv_network() -> SnnNetwork {
     let fill = |rows: usize, cols: usize, scale: f32| -> Tensor {
         let data: Vec<f32> = (0..rows * cols)
@@ -334,19 +334,34 @@ fn matrix_inputs(samples: usize, width: usize) -> Tensor {
 }
 
 /// Batch-vs-reference matrix: 5 codings × {deletion, jitter, deletion →
-/// jitter, jitter → deletion} × batch sizes 1..=16.  The jitter → deletion
-/// composite is the one that runs deletion's in-place path (a composite
-/// writes its first stage with `apply_into` and applies the rest in place).  Every sample of every batch, simulated through one
-/// `simulate_batch_each` call on a shared workspace, must equal
-/// `simulate_unbuffered` byte for byte: its outcome, its logit bits and the
-/// state of the RNG it leaves behind.  The whole matrix then re-runs fanned
-/// over 1 and 4 worker threads and the two runs' digests must agree bit for
-/// bit.
+/// jitter, jitter → deletion} × batch sizes 1..=16 × ranges starting at
+/// row 0 and at row 3 × {the dense MLP, the conv → pool → linear network}.
+/// The jitter → deletion composite is the one that runs deletion's
+/// in-place path (a composite writes its first stage with `apply_into` and
+/// applies the rest in place).  Batches run in layer-major tiles of up to
+/// 8 samples, so the batch sizes cover full tiles, partial tiles and a
+/// partial tile after a full one, and the conv network mixes per-sample
+/// conv and pool layers with a tiled dense head inside one tile.  Every
+/// sample of every batch, simulated through one `simulate_batch_each` call
+/// on a shared workspace, must equal `simulate_unbuffered` byte for byte:
+/// its outcome, its per-layer spike counts and logit bits as `each` sees
+/// them, and the state of the RNG it leaves behind.  The whole matrix then
+/// re-runs fanned over 1 and 4 worker threads and the two runs' digests
+/// must agree bit for bit.
 #[test]
 fn batched_engine_matches_unbuffered_reference_across_the_matrix() {
-    let network = matrix_network();
-    let inputs = matrix_inputs(16, 24);
-    let cfg = CodingConfig::new(48, 1.0);
+    let networks = [
+        (
+            matrix_network(),
+            matrix_inputs(19, 24),
+            CodingConfig::new(48, 1.0),
+        ),
+        (
+            conv_network(),
+            matrix_inputs(19, 36),
+            CodingConfig::new(40, 1.0),
+        ),
+    ];
     let noise_names = ["deletion", "jitter", "composite", "jitter_then_deletion"];
     let build_noise = |name: &str| -> Box<dyn SpikeTransform> {
         match name {
@@ -375,59 +390,80 @@ fn batched_engine_matches_unbuffered_reference_across_the_matrix() {
     let run_combo = |&(kind, noise_name): &(CodingKind, &str)| -> Vec<u32> {
         let coding = kind.build();
         let noise = build_noise(noise_name);
-        let mut ws = SimWorkspace::new();
         let mut digest = Vec::new();
-        for batch in 1..=16usize {
-            let seed = derive_seed(4096, batch as u64);
-            let seeded = |sample: usize| StdRng::seed_from_u64(derive_seed(seed, sample as u64));
-            // One RNG per sample, lent to the batch by reference so the
-            // state each sample leaves behind stays inspectable.
-            let mut rngs: Vec<StdRng> = (0..batch).map(seeded).collect();
-            let mut lent = rngs.iter_mut();
-            let mut seen = Vec::new();
-            network
-                .simulate_batch_each(
-                    &inputs,
-                    0..batch,
-                    coding.as_ref(),
-                    &cfg,
-                    noise.as_ref(),
-                    |_| lent.next().expect("one RNG per sample"),
-                    &mut ws,
-                    |_, outcome, ws| {
-                        seen.push((
-                            outcome,
-                            ws.logits().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        ));
-                    },
-                )
-                .unwrap_or_else(|e| panic!("{} {noise_name} batch {batch}: {e}", kind.label()));
-            assert_eq!(seen.len(), batch);
-            for (sample, ((outcome, bits), rng)) in seen.iter().zip(&rngs).enumerate() {
-                let context = format!(
-                    "{} under {noise_name}, batch {batch}, sample {sample}",
-                    kind.label()
-                );
-                let mut rng_ref = seeded(sample);
-                let reference = network
-                    .simulate_unbuffered(
-                        inputs.row_slice(sample).unwrap(),
-                        coding.as_ref(),
-                        &cfg,
-                        noise.as_ref(),
-                        &mut rng_ref,
-                    )
-                    .unwrap();
-                assert_eq!(
-                    (outcome.predicted, outcome.total_spikes),
-                    (reference.predicted, reference.total_spikes),
-                    "{context}: outcome"
-                );
-                let reference_bits: Vec<u32> =
-                    reference.logits.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(bits, &reference_bits, "{context}: logit bits");
-                assert_eq!(rng, &rng_ref, "{context}: RNG stream diverged");
-                digest.extend_from_slice(bits);
+        for (net, (network, inputs, cfg)) in networks.iter().enumerate() {
+            let mut ws = SimWorkspace::new();
+            for batch in 1..=16usize {
+                for first in [0usize, 3] {
+                    let seed = derive_seed(4096, batch as u64);
+                    let seeded =
+                        |sample: usize| StdRng::seed_from_u64(derive_seed(seed, sample as u64));
+                    let range = first..first + batch;
+                    // One RNG per sample, lent to the batch by reference so
+                    // the state each sample leaves behind stays inspectable.
+                    let mut rngs: Vec<StdRng> = range.clone().map(seeded).collect();
+                    let mut lent = rngs.iter_mut();
+                    let mut seen = Vec::new();
+                    network
+                        .simulate_batch_each(
+                            inputs,
+                            range.clone(),
+                            coding.as_ref(),
+                            cfg,
+                            noise.as_ref(),
+                            |_| lent.next().expect("one RNG per sample"),
+                            &mut ws,
+                            |sample, outcome, ws| {
+                                seen.push((
+                                    sample,
+                                    outcome,
+                                    ws.spikes_per_layer().to_vec(),
+                                    ws.logits().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                                ));
+                            },
+                        )
+                        .unwrap_or_else(|e| {
+                            panic!("{} {noise_name} net {net} batch {batch}: {e}", kind.label())
+                        });
+                    assert_eq!(seen.len(), batch);
+                    for ((sample, outcome, spikes, bits), rng) in seen.iter().zip(&rngs) {
+                        let context = format!(
+                            "{} under {noise_name}, net {net}, batch {first}..{}, sample {sample}",
+                            kind.label(),
+                            range.end
+                        );
+                        let mut rng_ref = seeded(*sample);
+                        let reference = network
+                            .simulate_unbuffered(
+                                inputs.row_slice(*sample).unwrap(),
+                                coding.as_ref(),
+                                cfg,
+                                noise.as_ref(),
+                                &mut rng_ref,
+                            )
+                            .unwrap();
+                        assert_eq!(
+                            (outcome.predicted, outcome.total_spikes),
+                            (reference.predicted, reference.total_spikes),
+                            "{context}: outcome"
+                        );
+                        assert_eq!(
+                            spikes, &reference.spikes_per_layer,
+                            "{context}: spikes per layer"
+                        );
+                        let reference_bits: Vec<u32> =
+                            reference.logits.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(bits, &reference_bits, "{context}: logit bits");
+                        assert_eq!(rng, &rng_ref, "{context}: RNG stream diverged");
+                        digest.extend_from_slice(bits);
+                    }
+                    let visited: Vec<usize> = seen.iter().map(|entry| entry.0).collect();
+                    assert_eq!(
+                        visited,
+                        range.collect::<Vec<_>>(),
+                        "samples visited in order"
+                    );
+                }
             }
         }
         digest
@@ -444,6 +480,72 @@ fn batched_engine_matches_unbuffered_reference_across_the_matrix() {
         "matrix digests differ across thread counts"
     );
     assert!(serial.iter().all(|digest| !digest.is_empty()));
+}
+
+/// `evaluate` threads one caller RNG through all samples in row order, so
+/// it must run each row as a tile of one: under deletion and under a
+/// jitter → deletion composite (both draw randomness) it must equal a
+/// per-sample `simulate_unbuffered` loop sharing one RNG — the same correct
+/// count, the same total spikes and the same RNG end state.
+#[test]
+fn evaluate_shares_one_rng_across_samples_in_row_order() {
+    let network = matrix_network();
+    let samples = 12usize;
+    let inputs = matrix_inputs(samples, 24);
+    let labels: Vec<usize> = (0..samples).map(|i| (i * 5) % 6).collect();
+    let cfg = CodingConfig::new(48, 1.0);
+    let noises: Vec<(&str, Box<dyn SpikeTransform>)> = vec![
+        ("deletion", Box::new(DeletionNoise::new(0.4).unwrap())),
+        (
+            "jitter_then_deletion",
+            Box::new(
+                CompositeNoise::new()
+                    .then(JitterNoise::new(1.0).unwrap())
+                    .then(DeletionNoise::new(0.3).unwrap()),
+            ),
+        ),
+    ];
+    for kind in all_codings() {
+        let coding = kind.build();
+        for (noise_name, noise) in &noises {
+            let context = format!("{} under {noise_name}", kind.label());
+            let mut rng = StdRng::seed_from_u64(derive_seed(555, 1));
+            let summary = network
+                .evaluate(
+                    &inputs,
+                    &labels,
+                    coding.as_ref(),
+                    &cfg,
+                    noise.as_ref(),
+                    &mut rng,
+                )
+                .unwrap();
+            let mut rng_ref = StdRng::seed_from_u64(derive_seed(555, 1));
+            let (mut correct, mut spikes) = (0usize, 0usize);
+            for (sample, &label) in labels.iter().enumerate() {
+                let reference = network
+                    .simulate_unbuffered(
+                        inputs.row_slice(sample).unwrap(),
+                        coding.as_ref(),
+                        &cfg,
+                        noise.as_ref(),
+                        &mut rng_ref,
+                    )
+                    .unwrap();
+                correct += usize::from(reference.predicted == label);
+                spikes += reference.total_spikes;
+            }
+            let accuracy = correct as f32 / samples as f32;
+            assert_eq!(summary.samples, samples, "{context}");
+            assert_eq!(
+                summary.accuracy.to_bits(),
+                accuracy.to_bits(),
+                "{context}: correct count"
+            );
+            assert_eq!(summary.total_spikes, spikes, "{context}: total spikes");
+            assert_eq!(rng, rng_ref, "{context}: RNG end state");
+        }
+    }
 }
 
 /// Scalar-vs-SIMD matrix: 5 codings × {deletion, jitter, composite} ×
