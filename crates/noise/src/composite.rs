@@ -44,34 +44,9 @@ impl std::fmt::Debug for CompositeNoise {
 }
 
 impl SpikeTransform for CompositeNoise {
-    fn apply(&self, raster: &SpikeRaster, rng: &mut dyn RngCore) -> SpikeRaster {
-        let mut current = raster.clone();
+    fn apply(&self, raster: &mut SpikeRaster, rng: &mut dyn RngCore) {
         for stage in &self.stages {
-            current = stage.apply(&current, rng);
-        }
-        current
-    }
-
-    fn apply_into(&self, raster: &SpikeRaster, out: &mut SpikeRaster, rng: &mut dyn RngCore) {
-        match self.stages.split_first() {
-            None => out.copy_from(raster),
-            Some((first, rest)) => {
-                // First stage into `out`, every further stage mutates `out`
-                // in place — no scratch raster, so a multi-stage composite
-                // is as allocation-free as its stages.  Each stage consumes
-                // the RNG exactly as in `apply`, keeping the composite
-                // bit-identical to the allocating path.
-                first.apply_into(raster, out, rng);
-                for stage in rest {
-                    stage.apply_in_place(out, rng);
-                }
-            }
-        }
-    }
-
-    fn apply_in_place(&self, raster: &mut SpikeRaster, rng: &mut dyn RngCore) {
-        for stage in &self.stages {
-            stage.apply_in_place(raster, rng);
+            stage.apply(raster, rng);
         }
     }
 
@@ -94,7 +69,7 @@ impl SpikeTransform for CompositeNoise {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DeletionNoise, JitterNoise};
+    use crate::{corrupted, DeletionNoise, JitterNoise};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -107,7 +82,7 @@ mod tests {
         let noise = CompositeNoise::new();
         let mut rng = StdRng::seed_from_u64(0);
         let r = raster();
-        assert_eq!(noise.apply(&r, &mut rng), r);
+        assert_eq!(corrupted(&noise, &r, &mut rng), r);
         assert!(noise.is_empty());
         assert_eq!(noise.describe(), "clean");
     }
@@ -119,50 +94,76 @@ mod tests {
             .then(JitterNoise::new(2.0).unwrap());
         assert_eq!(noise.len(), 2);
         let mut rng = StdRng::seed_from_u64(1);
-        let out = noise.apply(&raster(), &mut rng);
+        let out = corrupted(&noise, &raster(), &mut rng);
         assert!(out.total_spikes() < 200);
         assert!(out.total_spikes() > 50);
     }
 
     #[test]
-    fn apply_into_matches_apply_for_any_stage_count() {
+    fn apply_runs_every_stage_in_order_on_one_rng() {
         let r = raster();
+        let jitter = JitterNoise::new(1.5).unwrap();
+        let deletion = DeletionNoise::new(0.3).unwrap();
+        let late_jitter = JitterNoise::new(0.5).unwrap();
+        let stages: [&dyn SpikeTransform; 3] = [&jitter, &deletion, &late_jitter];
         let composites = [
             CompositeNoise::new(),
-            CompositeNoise::new().then(DeletionNoise::new(0.4).unwrap()),
+            CompositeNoise::new().then(jitter),
+            CompositeNoise::new().then(jitter).then(deletion),
             CompositeNoise::new()
-                .then(DeletionNoise::new(0.5).unwrap())
-                .then(JitterNoise::new(2.0).unwrap()),
-            CompositeNoise::new()
-                .then(JitterNoise::new(1.0).unwrap())
-                .then(DeletionNoise::new(0.2).unwrap())
-                .then(JitterNoise::new(3.0).unwrap()),
+                .then(jitter)
+                .then(deletion)
+                .then(late_jitter),
         ];
-        for (i, noise) in composites.iter().enumerate() {
-            let mut rng_a = StdRng::seed_from_u64(5);
-            let mut rng_b = StdRng::seed_from_u64(5);
-            let reference = noise.apply(&r, &mut rng_a);
-            let mut reused = SpikeRaster::new(1, 1);
-            noise.apply_into(&r, &mut reused, &mut rng_b);
-            assert_eq!(reused, reference, "composite {i}");
-            assert_eq!(rng_a, rng_b, "composite {i}");
+        for (count, noise) in composites.iter().enumerate() {
+            let mut rng_a = StdRng::seed_from_u64(8);
+            let mut rng_b = StdRng::seed_from_u64(8);
+            let mut expected = r.clone();
+            for stage in &stages[..count] {
+                stage.apply(&mut expected, &mut rng_a);
+            }
+            assert_eq!(corrupted(noise, &r, &mut rng_b), expected, "{count} stages");
+            assert_eq!(rng_a, rng_b, "{count} stages");
         }
     }
 
     #[test]
-    fn apply_in_place_matches_apply_for_stage_chains() {
+    fn stage_chains_give_the_same_bits_however_they_are_nested() {
+        // Nested composites and identity stages (which draw nothing) must
+        // leave the raster and the RNG end state of the flat chain.
+        let jitter = JitterNoise::new(1.5).unwrap();
+        let deletion = DeletionNoise::new(0.3).unwrap();
+        let late_jitter = JitterNoise::new(0.5).unwrap();
+        let flat = CompositeNoise::new()
+            .then(jitter)
+            .then(deletion)
+            .then(late_jitter);
+        let chains = [
+            CompositeNoise::new()
+                .then(CompositeNoise::new().then(jitter).then(deletion))
+                .then(late_jitter),
+            CompositeNoise::new()
+                .then(jitter)
+                .then(CompositeNoise::new().then(deletion).then(late_jitter)),
+            CompositeNoise::new()
+                .then(DeletionNoise::new(0.0).unwrap())
+                .then(jitter)
+                .then(CompositeNoise::new())
+                .then(deletion)
+                .then(JitterNoise::new(0.0).unwrap())
+                .then(late_jitter),
+        ];
         let r = raster();
-        let noise = CompositeNoise::new()
-            .then(JitterNoise::new(1.5).unwrap())
-            .then(DeletionNoise::new(0.3).unwrap())
-            .then(JitterNoise::new(0.5).unwrap());
-        let mut rng_a = StdRng::seed_from_u64(8);
-        let mut rng_b = StdRng::seed_from_u64(8);
-        let reference = noise.apply(&r, &mut rng_a);
-        let mut in_place = r.clone();
-        noise.apply_in_place(&mut in_place, &mut rng_b);
-        assert_eq!(in_place, reference);
-        assert_eq!(rng_a, rng_b);
+        for seed in [8, 9] {
+            let mut rng_flat = StdRng::seed_from_u64(seed);
+            let expected = corrupted(&flat, &r, &mut rng_flat);
+            for (i, chain) in chains.iter().enumerate() {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let out = corrupted(chain, &r, &mut rng);
+                assert_eq!(out, expected, "chain {i} seed {seed}");
+                assert_eq!(rng, rng_flat, "chain {i} seed {seed}");
+            }
+        }
     }
 
     #[test]

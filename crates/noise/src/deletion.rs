@@ -111,39 +111,7 @@ fn delete_spikes(
 }
 
 impl SpikeTransform for DeletionNoise {
-    fn apply(&self, raster: &SpikeRaster, rng: &mut dyn RngCore) -> SpikeRaster {
-        let mut out = SpikeRaster::default();
-        self.apply_into(raster, &mut out, rng);
-        out
-    }
-
-    fn apply_into(&self, raster: &SpikeRaster, out: &mut SpikeRaster, rng: &mut dyn RngCore) {
-        if self.probability == 0.0 {
-            out.copy_from(raster);
-            return;
-        }
-        let threshold = self.keep_threshold();
-        let mut block = [0u8; BLOCK * 8];
-        raster.map_trains_into(out, |_, train, kept| match *train {
-            [] => {}
-            // A lone spike skips the copy into `kept`: on TTFS's one-spike
-            // trains that copy cost more than the draw.  Its branch costs
-            // no extra misprediction either, since whether the spike
-            // survives is whether the train is empty, which the raster's
-            // normalisation branches on right after.
-            [t] => {
-                if keeps(rng.next_u64(), threshold) {
-                    kept.push(t);
-                }
-            }
-            _ => {
-                kept.extend_from_slice(train);
-                delete_spikes(kept, threshold, &mut block, rng);
-            }
-        });
-    }
-
-    fn apply_in_place(&self, raster: &mut SpikeRaster, rng: &mut dyn RngCore) {
+    fn apply(&self, raster: &mut SpikeRaster, rng: &mut dyn RngCore) {
         if self.probability == 0.0 {
             return;
         }
@@ -164,6 +132,7 @@ impl SpikeTransform for DeletionNoise {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corrupted;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -185,7 +154,7 @@ mod tests {
     fn zero_probability_is_identity() {
         let raster = dense_raster(3, 50);
         let mut rng = StdRng::seed_from_u64(0);
-        let out = DeletionNoise::new(0.0).unwrap().apply(&raster, &mut rng);
+        let out = corrupted(&DeletionNoise::new(0.0).unwrap(), &raster, &mut rng);
         assert_eq!(out, raster);
     }
 
@@ -193,7 +162,7 @@ mod tests {
     fn full_probability_deletes_everything() {
         let raster = dense_raster(3, 50);
         let mut rng = StdRng::seed_from_u64(0);
-        let out = DeletionNoise::new(1.0).unwrap().apply(&raster, &mut rng);
+        let out = corrupted(&DeletionNoise::new(1.0).unwrap(), &raster, &mut rng);
         assert_eq!(out.total_spikes(), 0);
     }
 
@@ -202,7 +171,7 @@ mod tests {
         let raster = dense_raster(100, 100); // 10_000 spikes
         let mut rng = StdRng::seed_from_u64(7);
         for p in [0.2, 0.5, 0.8] {
-            let out = DeletionNoise::new(p).unwrap().apply(&raster, &mut rng);
+            let out = corrupted(&DeletionNoise::new(p).unwrap(), &raster, &mut rng);
             let survived = out.total_spikes() as f64 / 10_000.0;
             assert!(
                 (survived - (1.0 - p)).abs() < 0.03,
@@ -215,7 +184,7 @@ mod tests {
     fn surviving_spike_times_are_a_subset() {
         let raster = SpikeRaster::from_trains(vec![vec![3, 7, 11, 19]], 32);
         let mut rng = StdRng::seed_from_u64(3);
-        let out = DeletionNoise::new(0.5).unwrap().apply(&raster, &mut rng);
+        let out = corrupted(&DeletionNoise::new(0.5).unwrap(), &raster, &mut rng);
         for &t in out.train(0) {
             assert!(raster.train(0).contains(&t));
         }
@@ -226,50 +195,23 @@ mod tests {
         assert!(DeletionNoise::new(0.3).unwrap().describe().contains("0.3"));
     }
 
-    #[test]
-    fn apply_into_matches_apply_with_identical_rng_consumption() {
-        let raster = dense_raster(7, 40);
-        for p in [0.0, 0.3, 0.8, 1.0] {
-            let noise = DeletionNoise::new(p).unwrap();
-            let mut rng_a = StdRng::seed_from_u64(11);
-            let mut rng_b = StdRng::seed_from_u64(11);
-            let reference = noise.apply(&raster, &mut rng_a);
-            let mut reused = SpikeRaster::new(1, 2); // wrong shape: must be reset
-            noise.apply_into(&raster, &mut reused, &mut rng_b);
-            assert_eq!(reused, reference, "p {p}");
-            // Both paths must have advanced the RNG identically.
-            assert_eq!(rng_a, rng_b, "p {p}");
-        }
-    }
-
-    #[test]
-    fn apply_in_place_matches_apply_with_identical_rng_consumption() {
-        let raster = dense_raster(5, 30);
-        for p in [0.0, 0.4, 1.0] {
-            let noise = DeletionNoise::new(p).unwrap();
-            let mut rng_a = StdRng::seed_from_u64(31);
-            let mut rng_b = StdRng::seed_from_u64(31);
-            let reference = noise.apply(&raster, &mut rng_a);
-            let mut in_place = raster.clone();
-            noise.apply_in_place(&mut in_place, &mut rng_b);
-            assert_eq!(in_place, reference, "p {p}");
-            assert_eq!(rng_a, rng_b, "p {p}");
-        }
-    }
-
     /// The per-spike rule the kernel replaces, kept as its oracle: one
     /// `gen::<f64>()` per spike in neuron then spike order, keep on `>= p`.
     fn per_spike_oracle(p: f64, raster: &SpikeRaster, rng: &mut dyn RngCore) -> SpikeRaster {
         if p == 0.0 {
             return raster.clone();
         }
-        raster.map_trains(|_, train| {
-            train
-                .iter()
-                .copied()
-                .filter(|_| rng.gen::<f64>() >= p)
-                .collect()
-        })
+        let trains = raster
+            .iter()
+            .map(|(_, train)| {
+                train
+                    .iter()
+                    .copied()
+                    .filter(|_| rng.gen::<f64>() >= p)
+                    .collect()
+            })
+            .collect();
+        SpikeRaster::from_trains(trains, raster.num_steps())
     }
 
     /// Probabilities at the edges of the integer keep rule: the smallest
@@ -317,20 +259,8 @@ mod tests {
                 let expected = per_spike_oracle(p, &raster, &mut rng_oracle);
 
                 let mut rng = StdRng::seed_from_u64(seed);
-                assert_eq!(noise.apply(&raster, &mut rng), expected, "apply p {p}");
-                assert_eq!(rng, rng_oracle, "apply RNG p {p}");
-
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut reused = SpikeRaster::new(1, 2); // wrong shape: must be reset
-                noise.apply_into(&raster, &mut reused, &mut rng);
-                assert_eq!(reused, expected, "apply_into p {p}");
-                assert_eq!(rng, rng_oracle, "apply_into RNG p {p}");
-
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut in_place = raster.clone();
-                noise.apply_in_place(&mut in_place, &mut rng);
-                assert_eq!(in_place, expected, "apply_in_place p {p}");
-                assert_eq!(rng, rng_oracle, "apply_in_place RNG p {p}");
+                assert_eq!(corrupted(&noise, &raster, &mut rng), expected, "p {p}");
+                assert_eq!(rng, rng_oracle, "RNG p {p}");
             }
         }
     }

@@ -18,6 +18,12 @@ use crate::{NoiseError, Result};
 /// heavy jitter near the window edges can reduce the spike count — the
 /// train, its count, and every decode stay mutually consistent.
 ///
+/// **Draw contract.**  Every spike costs exactly two draws from the RNG, in
+/// neuron order and then spike order: a uniform `u1` in
+/// `[f64::EPSILON, 1)`, then a uniform `u2` in `[0, 1)`, turned into one
+/// standard normal by Box–Muller (`√(−2 ln u1) · cos(2π u2)`).  Silent
+/// neurons draw nothing, and `σ = 0` draws nothing at all.
+///
 /// ```
 /// use nrsnn_noise::JitterNoise;
 /// use nrsnn_snn::{SpikeRaster, SpikeTransform};
@@ -28,9 +34,9 @@ use crate::{NoiseError, Result};
 /// let mut raster = SpikeRaster::new(1, 64);
 /// raster.set_train(0, vec![10, 20, 30]);
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// let jittered = noise.apply(&raster, &mut rng);
+/// noise.apply(&mut raster, &mut rng);
 /// // Spike count is preserved; only the timings move.
-/// assert_eq!(jittered.total_spikes(), 3);
+/// assert_eq!(raster.total_spikes(), 3);
 /// # Ok(())
 /// # }
 /// ```
@@ -77,49 +83,14 @@ impl JitterNoise {
 }
 
 impl SpikeTransform for JitterNoise {
-    fn apply(&self, raster: &SpikeRaster, rng: &mut dyn RngCore) -> SpikeRaster {
-        if self.sigma == 0.0 {
-            return raster.clone();
-        }
-        let max_t = raster.num_steps().saturating_sub(1) as i64;
-        raster.map_trains(|_, train| {
-            // Silent neurons draw no randomness and need no work — under
-            // sparse temporal codings most trains are empty, so the
-            // transform's cost tracks the active set, not the layer width.
-            if train.is_empty() {
-                return Vec::new();
-            }
-            train
-                .iter()
-                .map(|&t| self.jittered(t, max_t, rng))
-                .collect()
-        })
-    }
-
-    fn apply_into(&self, raster: &SpikeRaster, out: &mut SpikeRaster, rng: &mut dyn RngCore) {
-        if self.sigma == 0.0 {
-            out.copy_from(raster);
-            return;
-        }
-        let max_t = raster.num_steps().saturating_sub(1) as i64;
-        // Same neuron order and two RNG draws per spike, exactly as `apply`;
-        // empty trains are skipped outright (they draw nothing).
-        raster.map_trains_into(out, |_, train, shifted| {
-            if train.is_empty() {
-                return;
-            }
-            shifted.extend(train.iter().map(|&t| self.jittered(t, max_t, rng)));
-        });
-    }
-
-    fn apply_in_place(&self, raster: &mut SpikeRaster, rng: &mut dyn RngCore) {
+    fn apply(&self, raster: &mut SpikeRaster, rng: &mut dyn RngCore) {
         if self.sigma == 0.0 {
             return;
         }
         let max_t = raster.num_steps().saturating_sub(1) as i64;
-        // Two RNG draws per spike in spike order, exactly as `apply`;
-        // `update_trains` re-normalises each train like `set_train` does
-        // (sort + merge colliding spikes), and skips empty trains.
+        // Two RNG draws per spike in neuron then spike order; a silent
+        // neuron's empty train draws nothing.  `update_trains` re-normalises
+        // each train like `set_train` does (sort + merge colliding spikes).
         raster.update_trains(|_, train| {
             for t in train.iter_mut() {
                 *t = self.jittered(*t, max_t, rng);
@@ -139,6 +110,7 @@ impl SpikeTransform for JitterNoise {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corrupted;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -154,7 +126,7 @@ mod tests {
     fn zero_sigma_is_identity() {
         let raster = SpikeRaster::from_trains(vec![vec![1, 5, 9]], 16);
         let mut rng = StdRng::seed_from_u64(0);
-        let out = JitterNoise::new(0.0).unwrap().apply(&raster, &mut rng);
+        let out = corrupted(&JitterNoise::new(0.0).unwrap(), &raster, &mut rng);
         assert_eq!(out, raster);
     }
 
@@ -162,7 +134,7 @@ mod tests {
     fn jitter_never_creates_spikes_and_keeps_trains_binary() {
         let raster = SpikeRaster::from_trains(vec![(0..50).collect(), (10..30).collect()], 64);
         let mut rng = StdRng::seed_from_u64(1);
-        let out = JitterNoise::new(3.0).unwrap().apply(&raster, &mut rng);
+        let out = corrupted(&JitterNoise::new(3.0).unwrap(), &raster, &mut rng);
         // Jitter deletes nothing, but colliding spikes merge: the count can
         // only shrink, and every train stays strictly increasing.
         assert!(out.total_spikes() <= raster.total_spikes());
@@ -185,7 +157,7 @@ mod tests {
         let mut merged_somewhere = false;
         for seed in 0..32 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let out = noise.apply(&raster, &mut rng);
+            let out = corrupted(&noise, &raster, &mut rng);
             for (n, train) in out.iter() {
                 // Strictly increasing == sorted and duplicate-free.
                 assert!(
@@ -211,7 +183,7 @@ mod tests {
     fn jittered_times_stay_inside_window() {
         let raster = SpikeRaster::from_trains(vec![vec![0, 1, 62, 63]], 64);
         let mut rng = StdRng::seed_from_u64(2);
-        let out = JitterNoise::new(10.0).unwrap().apply(&raster, &mut rng);
+        let out = corrupted(&JitterNoise::new(10.0).unwrap(), &raster, &mut rng);
         assert!(out.train(0).iter().all(|&t| t < 64));
     }
 
@@ -223,7 +195,7 @@ mod tests {
         let raster = SpikeRaster::from_trains(trains, 1000);
         let mut rng = StdRng::seed_from_u64(3);
         for sigma in [1.0f64, 3.0] {
-            let out = JitterNoise::new(sigma).unwrap().apply(&raster, &mut rng);
+            let out = corrupted(&JitterNoise::new(sigma).unwrap(), &raster, &mut rng);
             let shifts: Vec<f64> = out
                 .iter()
                 .flat_map(|(_, t)| t.iter())
@@ -247,38 +219,97 @@ mod tests {
         assert!(JitterNoise::new(2.5).unwrap().describe().contains("2.5"));
     }
 
+    /// The draw contract written out spike by spike, independently of
+    /// `JitterNoise::jittered`: per spike, in neuron then spike order, `u1`
+    /// in `[EPSILON, 1)` then `u2` in `[0, 1)`, Box–Muller's cosine branch
+    /// scaled by σ and rounded, the shifted time clamped to the window in
+    /// floating point; silent neurons (and σ = 0) draw nothing, and spikes
+    /// that collide merge.
+    fn per_spike_oracle(sigma: f64, raster: &SpikeRaster, rng: &mut dyn RngCore) -> SpikeRaster {
+        if sigma == 0.0 {
+            return raster.clone();
+        }
+        let last = f64::from(raster.num_steps().saturating_sub(1));
+        let trains = raster
+            .iter()
+            .map(|(_, train)| {
+                let mut shifted: Vec<u32> = train
+                    .iter()
+                    .map(|&t| {
+                        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+                        let u2: f64 = rng.gen_range(0.0..1.0);
+                        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+                        (f64::from(t) + (z * sigma).round()).clamp(0.0, last) as u32
+                    })
+                    .collect();
+                shifted.sort_unstable();
+                shifted.dedup();
+                shifted
+            })
+            .collect();
+        SpikeRaster::from_trains(trains, raster.num_steps())
+    }
+
     #[test]
-    fn apply_into_matches_apply_with_identical_rng_consumption() {
-        let raster = SpikeRaster::from_trains(vec![(0..30).collect(), vec![5, 9], vec![]], 64);
-        for sigma in [0.0, 1.0, 4.5] {
+    fn apply_matches_per_spike_oracle_draw_for_draw() {
+        // Silent neurons between trains that touch both window edges, a
+        // dense train and spikes in the middle of the window.
+        let steps = 32;
+        let raster = SpikeRaster::from_trains(
+            vec![
+                vec![],
+                vec![0],
+                vec![0, 1, 2],
+                vec![],
+                vec![],
+                vec![steps - 1],
+                vec![5, 9, 30],
+                vec![0, steps - 1],
+                (0..steps).collect(),
+                vec![],
+            ],
+            steps,
+        );
+        for sigma in [0.0, 0.5, 3.0, 40.0, 1e300] {
             let noise = JitterNoise::new(sigma).unwrap();
-            let mut rng_a = StdRng::seed_from_u64(21);
-            let mut rng_b = StdRng::seed_from_u64(21);
-            let reference = noise.apply(&raster, &mut rng_a);
-            let mut reused = SpikeRaster::new(9, 9); // wrong shape: must be reset
-            noise.apply_into(&raster, &mut reused, &mut rng_b);
-            assert_eq!(reused, reference, "sigma {sigma}");
-            assert_eq!(rng_a, rng_b, "sigma {sigma}");
+            for seed in [21, 22, 23] {
+                let mut rng_oracle = StdRng::seed_from_u64(seed);
+                let expected = per_spike_oracle(sigma, &raster, &mut rng_oracle);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let out = corrupted(&noise, &raster, &mut rng);
+                assert_eq!(out, expected, "sigma {sigma} seed {seed}");
+                assert_eq!(rng, rng_oracle, "RNG sigma {sigma} seed {seed}");
+            }
         }
     }
 
     #[test]
-    fn apply_in_place_matches_apply_with_identical_rng_consumption() {
-        let raster = SpikeRaster::from_trains(vec![(0..20).collect(), vec![3, 60]], 64);
-        for sigma in [0.0, 2.5] {
-            let noise = JitterNoise::new(sigma).unwrap();
-            let mut rng_a = StdRng::seed_from_u64(41);
-            let mut rng_b = StdRng::seed_from_u64(41);
-            let reference = noise.apply(&raster, &mut rng_a);
-            let mut in_place = raster.clone();
-            noise.apply_in_place(&mut in_place, &mut rng_b);
-            assert_eq!(in_place, reference, "sigma {sigma}");
-            assert_eq!(rng_a, rng_b, "sigma {sigma}");
+    fn apply_matches_per_spike_oracle_on_random_rasters() {
+        // Any shape: no neurons, a one-step window, silent, sparse and
+        // saturated trains.
+        let mut shapes = StdRng::seed_from_u64(41);
+        for case in 0..48 {
+            let neurons: usize = shapes.gen_range(0..6);
+            let steps: u32 = shapes.gen_range(1..70);
+            let trains = (0..neurons)
+                .map(|_| {
+                    let density = [0.0, 0.05, 0.5, 1.0][shapes.gen_range(0..4usize)];
+                    (0..steps).filter(|_| shapes.gen_bool(density)).collect()
+                })
+                .collect();
+            let raster = SpikeRaster::from_trains(trains, steps);
+            let sigma = [0.5, 2.5, 7.0, 40.0][case % 4];
+            let mut rng_oracle = StdRng::seed_from_u64(case as u64);
+            let expected = per_spike_oracle(sigma, &raster, &mut rng_oracle);
+            let mut rng = StdRng::seed_from_u64(case as u64);
+            let out = corrupted(&JitterNoise::new(sigma).unwrap(), &raster, &mut rng);
+            assert_eq!(out, expected, "case {case} sigma {sigma}");
+            assert_eq!(rng, rng_oracle, "RNG case {case} sigma {sigma}");
         }
     }
 
     /// A σ so large that every shift saturates must pin each spike to a
-    /// window edge on all three paths, not overflow `t + shift`.
+    /// window edge, not overflow `t + shift`.
     #[test]
     fn huge_sigma_saturates_to_the_window_edges() {
         let raster = SpikeRaster::from_trains(vec![vec![3, 9, 14]], 16);
@@ -286,18 +317,8 @@ mod tests {
         let noise = JitterNoise::new(1e300).unwrap();
         let (mut hit_start, mut hit_end) = (false, false);
         for seed in 0..8 {
-            let mut rng_a = StdRng::seed_from_u64(seed);
-            let mut rng_b = StdRng::seed_from_u64(seed);
-            let mut rng_c = StdRng::seed_from_u64(seed);
-            let out = noise.apply(&raster, &mut rng_a);
-            let mut reused = SpikeRaster::new(2, 3);
-            noise.apply_into(&raster, &mut reused, &mut rng_b);
-            let mut in_place = raster.clone();
-            noise.apply_in_place(&mut in_place, &mut rng_c);
-            assert_eq!(reused, out, "seed {seed}");
-            assert_eq!(in_place, out, "seed {seed}");
-            assert_eq!(rng_a, rng_b, "seed {seed}");
-            assert_eq!(rng_a, rng_c, "seed {seed}");
+            let mut rng = StdRng::seed_from_u64(seed);
+            let out = corrupted(&noise, &raster, &mut rng);
             for &t in out.train(0) {
                 assert!(t == 0 || t == max_t, "seed {seed}: spike at {t}");
             }

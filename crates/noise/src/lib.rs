@@ -33,8 +33,9 @@
 //! let mut raster = SpikeRaster::new(1, 100);
 //! raster.set_train(0, (0..100).collect());
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-//! let corrupted = noise.apply(&raster, &mut rng);
-//! assert!(corrupted.total_spikes() < 100);
+//! // Noise corrupts the raster in place.
+//! noise.apply(&mut raster, &mut rng);
+//! assert!(raster.total_spikes() < 100);
 //!
 //! let ws = WeightScaling::for_deletion_probability(0.5)?;
 //! assert!((ws.factor() - 2.0).abs() < 1e-6);
@@ -68,7 +69,9 @@
 //! let survivors = |parallel: ParallelConfig| -> Vec<usize> {
 //!     parallel_map(&parallel, &realisations, |index, _| {
 //!         let mut rng = StdRng::seed_from_u64(derive_seed(7, index as u64));
-//!         noise.apply(&raster, &mut rng).total_spikes()
+//!         let mut corrupted = raster.clone();
+//!         noise.apply(&mut corrupted, &mut rng);
+//!         corrupted.total_spikes()
 //!     })
 //! };
 //! assert_eq!(
@@ -101,3 +104,15 @@ pub use sweep::{
 
 /// Convenient result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, NoiseError>;
+
+/// `raster` corrupted by `noise`, leaving the input intact.
+#[cfg(test)]
+fn corrupted(
+    noise: &dyn nrsnn_snn::SpikeTransform,
+    raster: &nrsnn_snn::SpikeRaster,
+    rng: &mut dyn rand::RngCore,
+) -> nrsnn_snn::SpikeRaster {
+    let mut out = raster.clone();
+    noise.apply(&mut out, rng);
+    out
+}

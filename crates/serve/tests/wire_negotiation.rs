@@ -164,17 +164,32 @@ fn hostile_connection_does_not_disturb_its_neighbours() {
 #[test]
 fn json_garbage_still_gets_a_json_error_line() {
     // A first byte that is not the magic selects the JSON path, where a
-    // garbage line must yield a JSON error response, not a hang.
+    // garbage line must yield a JSON error response, not a hang.  The
+    // second line nests 10,000 arrays deep: it must be refused like any
+    // other garbage instead of overflowing the connection thread's stack,
+    // which would abort the whole server.
     let (server, addr) = start_server();
     let mut stream = raw_connect(addr);
-    stream.write_all(b"this is not json\n").unwrap();
-    let mut reply = String::new();
     let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    let nested = format!("{}\n", "[".repeat(10_000));
+    for line in ["this is not json\n", nested.as_str()] {
+        stream.write_all(line.as_bytes()).unwrap();
+        let mut reply = String::new();
+        std::io::BufRead::read_line(&mut reader, &mut reply).unwrap();
+        assert!(
+            reply.contains("error"),
+            "expected a JSON error line, got {reply:?}"
+        );
+    }
+    // The server, and this very connection, keep answering.
+    stream.write_all(b"{\"type\":\"ping\"}\n").unwrap();
+    let mut reply = String::new();
     std::io::BufRead::read_line(&mut reader, &mut reply).unwrap();
     assert!(
-        reply.contains("error"),
-        "expected a JSON error line, got {reply:?}"
+        reply.contains("pong"),
+        "expected a pong line, got {reply:?}"
     );
+    TcpClient::connect(addr).unwrap().ping().unwrap();
     server.shutdown();
 }
 

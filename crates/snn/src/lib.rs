@@ -62,7 +62,7 @@ pub use error::SnnError;
 pub use network::{
     EvaluationSummary, IdentityTransform, SimulationOutcome, SnnLayer, SnnNetwork, SpikeTransform,
 };
-pub use neuron::{IfNeuron, IfbNeuron, ResetKind};
+pub use neuron::IfbNeuron;
 pub use spike::SpikeRaster;
 pub use workspace::{BatchOutcome, SimStage, SimWorkspace, StageEvent};
 

@@ -270,42 +270,21 @@ fn avg_pool(g: &Pool2dGeometry, input: &[f32], out: &mut [f32]) {
 /// it flows in per call through the `rng` parameter — so implementations are
 /// naturally immutable state plus parameters.
 pub trait SpikeTransform: Send + Sync {
-    /// Produces the (possibly corrupted) raster actually received by the
-    /// next layer.
-    fn apply(&self, raster: &SpikeRaster, rng: &mut dyn RngCore) -> SpikeRaster;
-
-    /// In-place sibling of [`SpikeTransform::apply`]: writes the transformed
-    /// raster into `out`, reusing its buffers.
+    /// Corrupts `raster` in place into the raster actually received by the
+    /// next layer, drawing any randomness from `rng`.
     ///
-    /// Must produce the same raster as `apply` and consume the RNG in the
-    /// same order.  The default delegates to `apply` (allocating);
-    /// implementations on the hot path override it with an allocation-free
-    /// version (see `nrsnn-noise`).
-    fn apply_into(&self, raster: &SpikeRaster, out: &mut SpikeRaster, rng: &mut dyn RngCore) {
-        *out = self.apply(raster, rng);
-    }
+    /// The engine hands over the layer's freshly encoded raster and decodes
+    /// it right after, so a transform needs no second raster and, if it
+    /// mutates the trains' own buffers (e.g. through
+    /// [`SpikeRaster::update_trains`]), allocates nothing.
+    fn apply(&self, raster: &mut SpikeRaster, rng: &mut dyn RngCore);
 
-    /// Mutating variant of [`SpikeTransform::apply`]: transforms `raster` in
-    /// place.
-    ///
-    /// Must produce the same raster as `apply` and consume the RNG in the
-    /// same order.  The default buffers through a scratch raster
-    /// (allocating); the deletion/jitter models in `nrsnn-noise` override it
-    /// allocation-free, which is what keeps multi-stage `CompositeNoise`
-    /// chains allocation-free too — the composite writes its first stage via
-    /// `apply_into` and applies the remaining stages in place.
-    fn apply_in_place(&self, raster: &mut SpikeRaster, rng: &mut dyn RngCore) {
-        let mut scratch = SpikeRaster::default();
-        self.apply_into(raster, &mut scratch, rng);
-        raster.copy_from(&scratch);
-    }
-
-    /// Returns `true` if `apply` is guaranteed to return the raster
+    /// Returns `true` if `apply` is guaranteed to leave the raster
     /// unchanged *and* to consume no randomness for the current parameters
     /// (e.g. deletion with `p = 0`).
     ///
-    /// The simulation engine uses this to skip the transform entirely on the
-    /// no-noise path instead of cloning the full raster; because an identity
+    /// The simulation engine uses this to skip the transform (and its
+    /// stage-trace event) on the no-noise path; because an identity
     /// transform draws nothing from the RNG, skipping it leaves all
     /// downstream random draws — and therefore all results — unchanged.
     fn is_identity(&self) -> bool {
@@ -323,15 +302,7 @@ pub trait SpikeTransform: Send + Sync {
 pub struct IdentityTransform;
 
 impl SpikeTransform for IdentityTransform {
-    fn apply(&self, raster: &SpikeRaster, _rng: &mut dyn RngCore) -> SpikeRaster {
-        raster.clone()
-    }
-
-    fn apply_into(&self, raster: &SpikeRaster, out: &mut SpikeRaster, _rng: &mut dyn RngCore) {
-        out.copy_from(raster);
-    }
-
-    fn apply_in_place(&self, _raster: &mut SpikeRaster, _rng: &mut dyn RngCore) {}
+    fn apply(&self, _raster: &mut SpikeRaster, _rng: &mut dyn RngCore) {}
 
     fn is_identity(&self) -> bool {
         true
@@ -526,12 +497,12 @@ impl SnnNetwork {
         for (index, layer) in self.layers.iter().enumerate() {
             // Synaptic noise corrupts the spikes actually transmitted to
             // this layer.
-            let received = noise.apply(&raster, rng);
-            spikes_per_layer.push(received.total_spikes());
+            noise.apply(&mut raster, rng);
+            spikes_per_layer.push(raster.total_spikes());
 
             // Integrate the received trains through the coding's PSC kernel.
-            let decoded: Vec<f32> = (0..received.num_neurons())
-                .map(|n| coding.decode(received.train(n), cfg))
+            let decoded: Vec<f32> = (0..raster.num_neurons())
+                .map(|n| coding.decode(raster.train(n), cfg))
                 .collect();
 
             let mut activation = layer.forward_analog(&decoded)?;
@@ -733,13 +704,10 @@ impl SnnNetwork {
         debug_assert_eq!(inputs.len(), rngs.len());
         let num_layers = self.layers.len();
         let samples = inputs.len();
-        // Grow (never shrink) the per-layer raster pools, so buffers reach a
+        // Grow (never shrink) the per-layer raster pool, so buffers reach a
         // fixed point and later tiles allocate nothing.
         if ws.rasters.len() < num_layers {
             ws.rasters.resize_with(num_layers, SpikeRaster::default);
-        }
-        if ws.received.len() < num_layers {
-            ws.received.resize_with(num_layers, SpikeRaster::default);
         }
         ws.tile_len = samples;
         ws.tile_row = 0;
@@ -791,12 +759,10 @@ impl SnnNetwork {
                     index as u32,
                     0.0,
                 );
-                // Synaptic noise corrupts the spikes actually transmitted to
-                // this layer.
-                let received = if skip_noise {
-                    &ws.rasters[index]
-                } else {
-                    noise.apply_into(&ws.rasters[index], &mut ws.received[index], &mut **rng);
+                // Synaptic noise corrupts, in place, the spikes actually
+                // transmitted to this layer.
+                if !skip_noise {
+                    noise.apply(&mut ws.rasters[index], &mut **rng);
                     stage_mark(
                         &mut ws.stage_events,
                         &mut mark,
@@ -804,8 +770,8 @@ impl SnnNetwork {
                         index as u32,
                         0.0,
                     );
-                    &ws.received[index]
-                };
+                }
+                let received = &ws.rasters[index];
                 ws.spikes_per_layer[s * num_layers + index] = received.total_spikes();
                 // The activity fraction is trace data only; the untraced
                 // path skips the scan.
@@ -1306,8 +1272,10 @@ mod tests {
         let mut raster = SpikeRaster::new(2, 10);
         raster.set_train(0, vec![1, 2, 3]);
         let mut rng = StdRng::seed_from_u64(6);
-        let out = IdentityTransform.apply(&raster, &mut rng);
+        let mut out = raster.clone();
+        IdentityTransform.apply(&mut out, &mut rng);
         assert_eq!(out, raster);
+        assert_eq!(rng, StdRng::seed_from_u64(6));
         assert_eq!(IdentityTransform.describe(), "clean");
     }
 }

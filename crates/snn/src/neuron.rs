@@ -1,82 +1,13 @@
-//! Spiking neuron models.
+//! The spiking neuron model behind TTAS encoding.
 //!
-//! Two neuron models are provided:
-//!
-//! * [`IfNeuron`] — the standard integrate-and-fire neuron of Eq. 1–3 of the
-//!   paper, with either reset-by-subtraction (used by rate-style conversion)
-//!   or reset-to-zero.
-//! * [`IfbNeuron`] — the *simplified integrate-and-fire-or-burst* neuron the
-//!   paper introduces for TTAS coding (Eq. 4): it behaves like an IF neuron
-//!   until its first spike at `t₁`, then emits a phasic burst of spikes for
-//!   the next `t_a` steps, and stays silent afterwards.  The paper notes it
-//!   can be realised with a counter and gate operations, which is exactly
-//!   what this implementation does.
+//! [`IfbNeuron`] is the *simplified integrate-and-fire-or-burst* neuron the
+//! paper introduces for TTAS coding (Eq. 4): it behaves like an
+//! integrate-and-fire neuron until its first spike at `t₁`, then emits a
+//! phasic burst of spikes for the next `t_a` steps, and stays silent
+//! afterwards.  The paper notes it can be realised with a counter and gate
+//! operations, which is exactly what this implementation does.
 
 use serde::{Deserialize, Serialize};
-
-/// How the membrane potential is reset after a spike.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum ResetKind {
-    /// Subtract the threshold from the membrane (residual kept; preferred in
-    /// conversion because it avoids systematic under-counting).
-    #[default]
-    Subtract,
-    /// Reset the membrane to zero.
-    ToZero,
-}
-
-/// Integrate-and-fire neuron (Eq. 1–3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct IfNeuron {
-    membrane: f32,
-    threshold: f32,
-    reset: ResetKind,
-    spike_count: u32,
-}
-
-impl IfNeuron {
-    /// Creates an IF neuron with the given firing threshold and reset rule.
-    pub fn new(threshold: f32, reset: ResetKind) -> Self {
-        IfNeuron {
-            membrane: 0.0,
-            threshold,
-            reset,
-            spike_count: 0,
-        }
-    }
-
-    /// Current membrane potential.
-    pub fn membrane(&self) -> f32 {
-        self.membrane
-    }
-
-    /// Number of spikes emitted since construction or the last [`Self::reset_state`].
-    pub fn spike_count(&self) -> u32 {
-        self.spike_count
-    }
-
-    /// Integrates one time step of input current and returns `true` if the
-    /// neuron fires.
-    pub fn step(&mut self, input_current: f32) -> bool {
-        self.membrane += input_current;
-        if self.membrane >= self.threshold {
-            match self.reset {
-                ResetKind::Subtract => self.membrane -= self.threshold,
-                ResetKind::ToZero => self.membrane = 0.0,
-            }
-            self.spike_count += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Resets membrane potential and spike counter.
-    pub fn reset_state(&mut self) {
-        self.membrane = 0.0;
-        self.spike_count = 0;
-    }
-}
 
 /// Simplified integrate-and-fire-or-burst neuron (Eq. 4).
 ///
@@ -165,46 +96,6 @@ impl IfbNeuron {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn if_neuron_fires_at_threshold() {
-        let mut n = IfNeuron::new(1.0, ResetKind::Subtract);
-        assert!(!n.step(0.6));
-        assert!(n.step(0.6)); // membrane 1.2 >= 1.0
-        assert!((n.membrane() - 0.2).abs() < 1e-6); // residual kept
-        assert_eq!(n.spike_count(), 1);
-    }
-
-    #[test]
-    fn if_neuron_reset_to_zero_discards_residual() {
-        let mut n = IfNeuron::new(1.0, ResetKind::ToZero);
-        n.step(0.6);
-        n.step(0.6);
-        assert_eq!(n.membrane(), 0.0);
-    }
-
-    #[test]
-    fn if_neuron_rate_proportional_to_input() {
-        // With constant input current c and reset-by-subtraction, the firing
-        // rate over T steps approaches c/θ.
-        let mut n = IfNeuron::new(1.0, ResetKind::Subtract);
-        let mut spikes = 0;
-        for _ in 0..1000 {
-            if n.step(0.3) {
-                spikes += 1;
-            }
-        }
-        assert!((spikes as f32 / 1000.0 - 0.3).abs() < 0.01);
-    }
-
-    #[test]
-    fn if_neuron_reset_state_clears() {
-        let mut n = IfNeuron::new(0.5, ResetKind::Subtract);
-        n.step(1.0);
-        n.reset_state();
-        assert_eq!(n.membrane(), 0.0);
-        assert_eq!(n.spike_count(), 0);
-    }
 
     #[test]
     fn ifb_neuron_bursts_for_duration_then_goes_silent() {

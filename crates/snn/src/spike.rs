@@ -132,44 +132,6 @@ impl SpikeRaster {
         raster
     }
 
-    /// Maps every spike train through `f`, producing a new raster over the
-    /// same window (used by noise models).
-    pub fn map_trains<F>(&self, mut f: F) -> SpikeRaster
-    where
-        F: FnMut(usize, &[u32]) -> Vec<u32>,
-    {
-        let trains = self
-            .trains
-            .iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t))
-            .collect();
-        SpikeRaster::from_trains(trains, self.num_steps)
-    }
-
-    /// Allocation-free sibling of [`SpikeRaster::map_trains`]: maps every
-    /// train of `self` into the corresponding (cleared) train buffer of
-    /// `dst`, reusing `dst`'s allocations.
-    ///
-    /// `f` receives `(neuron, source_train, destination_buffer)` in neuron
-    /// order — noise models that draw randomness per spike therefore consume
-    /// their RNG in exactly the same order as the allocating path.  The
-    /// produced trains are clamped and sorted like [`SpikeRaster::set_train`]
-    /// does, so the result is identical to `self.map_trains(f)`.
-    pub fn map_trains_into<F>(&self, dst: &mut SpikeRaster, mut f: F)
-    where
-        F: FnMut(usize, &[u32], &mut Vec<u32>),
-    {
-        dst.num_steps = self.num_steps;
-        dst.trains.resize_with(self.trains.len(), Vec::new);
-        for (i, src) in self.trains.iter().enumerate() {
-            let out = &mut dst.trains[i];
-            out.clear();
-            f(i, src, out);
-            normalize_train(out, self.num_steps);
-        }
-    }
-
     /// Rebuilds the raster in place for `num_neurons` neurons over
     /// `num_steps` steps, filling every train through `f` while reusing the
     /// existing per-train buffers.
@@ -216,8 +178,9 @@ impl SpikeRaster {
 
     /// Mutates every train in place through `f` (in neuron order), then
     /// re-normalises each like [`SpikeRaster::set_train`] (clamp to the
-    /// window, sort).  The allocation-free primitive behind in-place noise
-    /// transforms such as spike deletion (`Vec::retain`) and jitter.
+    /// window, sort, merge duplicates).  The allocation-free primitive
+    /// behind the noise transforms: spike deletion compacts each train's
+    /// survivors, jitter shifts its spikes in place.
     pub fn update_trains<F>(&mut self, mut f: F)
     where
         F: FnMut(usize, &mut Vec<u32>),
@@ -227,22 +190,11 @@ impl SpikeRaster {
             normalize_train(train, self.num_steps);
         }
     }
-
-    /// Copies `other` into `self`, reusing `self`'s buffers (the
-    /// allocation-free counterpart of `*self = other.clone()`).
-    pub fn copy_from(&mut self, other: &SpikeRaster) {
-        self.num_steps = other.num_steps;
-        self.trains.resize_with(other.trains.len(), Vec::new);
-        for (dst, src) in self.trains.iter_mut().zip(&other.trains) {
-            dst.clone_from(src);
-        }
-    }
 }
 
 /// Clamps every time to the window, sorts, and merges duplicate times — the
 /// shared normalisation of [`SpikeRaster::set_train`],
-/// [`SpikeRaster::fill_trains`], [`SpikeRaster::map_trains_into`] and
-/// [`SpikeRaster::update_trains`].
+/// [`SpikeRaster::fill_trains`] and [`SpikeRaster::update_trains`].
 ///
 /// The dedup step *enforces* the raster's binary-spike semantics: clamping
 /// (or jitter) can land two spikes on the same step, and keeping both would
@@ -326,26 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn map_trains_applies_per_neuron() {
-        let r = SpikeRaster::from_trains(vec![vec![1, 2, 3], vec![4]], 10);
-        let doubled = r.map_trains(|_, t| t.iter().map(|&x| x * 2).collect());
-        assert_eq!(doubled.train(0), &[2, 4, 6]);
-        assert_eq!(doubled.train(1), &[8]);
-    }
-
-    #[test]
-    fn map_trains_into_matches_map_trains() {
-        let r = SpikeRaster::from_trains(vec![vec![9, 3, 1], vec![], vec![20, 4]], 8);
-        let doubled = r.map_trains(|_, t| t.iter().map(|&x| x * 2).collect());
-        let mut reused = SpikeRaster::new(7, 99); // wrong shape: must be reset
-        r.map_trains_into(&mut reused, |_, t, out| {
-            out.extend(t.iter().map(|&x| x * 2))
-        });
-        assert_eq!(reused, doubled);
-        assert_eq!(reused.num_steps(), 8);
-    }
-
-    #[test]
     fn fill_trains_matches_from_trains_and_reuses_buffers() {
         let trains = vec![vec![5u32, 1, 30], vec![], vec![2]];
         let reference = SpikeRaster::from_trains(trains.clone(), 16);
@@ -356,14 +288,6 @@ mod tests {
         r.fill_trains(2, 16, |_, out| out.push(1));
         assert_eq!(r.num_neurons(), 2);
         assert_eq!(r.total_spikes(), 2);
-    }
-
-    #[test]
-    fn copy_from_replicates_any_shape() {
-        let src = SpikeRaster::from_trains(vec![vec![1, 2], vec![7]], 12);
-        let mut dst = SpikeRaster::new(5, 3);
-        dst.copy_from(&src);
-        assert_eq!(dst, src);
     }
 
     #[test]

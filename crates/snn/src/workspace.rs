@@ -5,14 +5,14 @@
 //! each sample of the tile is encoded, corrupted and decoded in turn into
 //! one row of a per-tile decoded matrix, then the layer's analog forward
 //! runs once for the whole tile into a per-tile activation matrix.  That
-//! needs per layer a spike raster and a noisy copy of it (shared by the
-//! tile's samples, which pass through one after another), a per-sample
-//! decoded vector, the two per-tile matrices, per-sample spike counts and —
-//! for convolution layers — an `im2col` patch matrix, a transposed kernel
-//! bank and their product.  The original `SnnNetwork::simulate` allocated
-//! such buffers afresh on every call, which dominated the cost of the
-//! paper's `(coding × noise level × sample)` sweep grids.  A `SimWorkspace`
-//! owns all of them once; the entry points
+//! needs per layer one spike raster, which the noise model corrupts in
+//! place (shared by the tile's samples, which pass through one after
+//! another), a per-sample decoded vector, the two per-tile matrices,
+//! per-sample spike counts and — for convolution layers — an `im2col`
+//! patch matrix, a transposed kernel bank and their product.  The original
+//! `SnnNetwork::simulate` allocated such buffers afresh on every call, which
+//! dominated the cost of the paper's `(coding × noise level × sample)` sweep
+//! grids.  A `SimWorkspace` owns all of them once; the entry points
 //! ([`crate::SnnNetwork::simulate_batch`] and friends) clear-and-refill them
 //! per tile, so after the first (warm-up) batch the steady-state allocation
 //! count per simulated sample is **zero** — verified by the
@@ -132,18 +132,14 @@ pub(crate) struct ConvScratch {
 /// shrinks, so steady-state simulation performs no heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct SimWorkspace {
-    /// One raster per layer: `rasters[i]` is the (clean) raster entering
-    /// layer `i`, reused by each sample of a tile in turn.  Keeping them
-    /// per layer — instead of ping-ponging one buffer through widths that
-    /// alternate every layer — is what lets the per-neuron spike buffers
-    /// reach a fixed point after warm-up: a `Vec<Vec<u32>>` that shrank
-    /// would drop its tail buffers and have to reallocate them on the next
-    /// sample.
+    /// One raster per layer: `rasters[i]` is the raster entering layer
+    /// `i`, encoded and then corrupted in place by the noise model, reused
+    /// by each sample of a tile in turn.  Keeping them per layer — instead
+    /// of ping-ponging one buffer through widths that alternate every
+    /// layer — is what lets the per-neuron spike buffers reach a fixed
+    /// point after warm-up: a `Vec<Vec<u32>>` that shrank would drop its
+    /// tail buffers and have to reallocate them on the next sample.
     pub(crate) rasters: Vec<SpikeRaster>,
-    /// Per-layer noise-corrupted rasters actually received by each layer;
-    /// unused (and untouched) when the transform reports itself as the
-    /// identity.
-    pub(crate) received: Vec<SpikeRaster>,
     /// PSC-decoded activations of the sample being decoded.
     pub(crate) decoded: Vec<f32>,
     /// The tile's decoded matrix: row `s` holds sample `s`'s decoded
@@ -213,13 +209,10 @@ impl SimWorkspace {
         ws.encode_scratch.lanes.reserve(max_width);
         ws.encode_scratch.bits.reserve(max_width);
         ws.spikes_per_layer.reserve(TILE * network.num_layers());
-        // One raster pair per layer, each sized for that layer's input
-        // width; the per-train spike buffers still grow lazily on the first
-        // sample.
+        // One raster per layer, sized for that layer's input width; the
+        // per-train spike buffers still grow lazily on the first sample.
         for layer in network.layers() {
             ws.rasters
-                .push(SpikeRaster::new(layer.input_width(), cfg.time_steps));
-            ws.received
                 .push(SpikeRaster::new(layer.input_width(), cfg.time_steps));
         }
         ws

@@ -43,12 +43,13 @@ fn main() -> Result<(), NrsnnError> {
         let coding = kind.build();
         let train = coding.encode(value, &cfg);
 
-        // Wrap the single train in a raster so the noise models apply.
-        let mut raster = nrsnn_snn::SpikeRaster::new(1, cfg.time_steps);
-        raster.set_train(0, train.clone());
-
-        let deleted = deletion.apply(&raster, &mut rng);
-        let jittered = jitter.apply(&raster, &mut rng);
+        // Wrap the single train in a raster so the noise models apply; each
+        // corrupts its own copy in place.
+        let mut deleted = nrsnn_snn::SpikeRaster::new(1, cfg.time_steps);
+        deleted.set_train(0, train.clone());
+        let mut jittered = deleted.clone();
+        deletion.apply(&mut deleted, &mut rng);
+        jitter.apply(&mut jittered, &mut rng);
 
         let clean = coding.decode(&train, &cfg);
         let after_deletion = coding.decode(deleted.train(0), &cfg);

@@ -137,6 +137,23 @@ mod tests {
     }
 
     #[test]
+    fn nesting_deeper_than_the_limit_is_rejected() {
+        let depth = parse::MAX_DEPTH;
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}null{}", r#"{"k":"#.repeat(n), "}".repeat(n));
+        assert!(from_str::<Value>(&arrays(depth)).is_ok());
+        assert!(from_str::<Value>(&objects(depth)).is_ok());
+        assert!(from_str::<Value>(&arrays(depth + 1)).is_err());
+        assert!(from_str::<Value>(&objects(depth + 1)).is_err());
+        // Mixed nesting counts every level, and a hostile line far past the
+        // limit fails with the same error instead of overflowing the stack.
+        let mixed = format!("[{}]", objects(depth));
+        assert!(from_str::<Value>(&mixed).is_err());
+        let err = from_str::<Value>(&"[".repeat(10_000)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+    }
+
+    #[test]
     fn unicode_escapes_parse() {
         let v: Value = from_str(r#""éA""#).unwrap();
         assert_eq!(v.as_str(), Some("éA"));

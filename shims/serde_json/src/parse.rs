@@ -4,10 +4,16 @@ use serde::value::Value;
 
 use crate::Error;
 
+/// Deepest array/object nesting the parser accepts: 128, the real
+/// `serde_json`'s default recursion limit.  Every level recurses, so
+/// without a bound one line of `[` bytes overflows the thread's stack.
+pub(crate) const MAX_DEPTH: usize = 128;
+
 pub(crate) fn parse(text: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.parse_value()?;
@@ -21,6 +27,8 @@ pub(crate) fn parse(text: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -68,12 +76,23 @@ impl<'a> Parser<'a> {
             Some(b't') => self.parse_literal("true", Value::Bool(true)),
             Some(b'f') => self.parse_literal("false", Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::String),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             Some(_) => Err(self.error("unexpected character")),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, failing past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error("recursion limit exceeded"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<Value, Error> {

@@ -112,9 +112,8 @@ fn steady_state_simulate_batch_allocates_zero_per_sample() {
 
     // Cover the no-noise fast path, both random noise models and
     // multi-stage composites in both orders: every combination must be
-    // allocation-free in steady state (a composite applies stages after the
-    // first in place, so it needs no scratch raster, and jitter → deletion
-    // runs deletion's in-place path).
+    // allocation-free in steady state (every stage corrupts the layer's
+    // raster in place, so a composite needs no scratch raster).
     let noises: Vec<(&str, Box<dyn SpikeTransform>)> = vec![
         ("identity", Box::new(IdentityTransform)),
         ("deletion", Box::new(DeletionNoise::new(0.3).unwrap())),

@@ -336,9 +336,8 @@ fn matrix_inputs(samples: usize, width: usize) -> Tensor {
 /// Batch-vs-reference matrix: 5 codings × {deletion, jitter, deletion →
 /// jitter, jitter → deletion} × batch sizes 1..=16 × ranges starting at
 /// row 0 and at row 3 × {the dense MLP, the conv → pool → linear network}.
-/// The jitter → deletion composite is the one that runs deletion's
-/// in-place path (a composite writes its first stage with `apply_into` and
-/// applies the rest in place).  Batches run in layer-major tiles of up to
+/// The two composites chain their stages in both orders on the one raster
+/// each layer corrupts in place.  Batches run in layer-major tiles of up to
 /// 8 samples, so the batch sizes cover full tiles, partial tiles and a
 /// partial tile after a full one, and the conv network mixes per-sample
 /// conv and pool layers with a tiled dense head inside one tile.  Every
