@@ -553,8 +553,7 @@ fn coding_micro_report(
             .collect();
         let mut scratch = CodingScratch::new();
         let mut raster = SpikeRaster::new(0, 1);
-        let mut decoded = Vec::new();
-        let mut dscratch = Vec::new();
+        let mut decoded = vec![0.0f32; inputs.dims()[1]];
 
         // Scalar reference: encoded rasters and their decoded bits.
         assert_eq!(set_backend(SimdBackend::Scalar), SimdBackend::Scalar);
@@ -568,7 +567,7 @@ fn coding_micro_report(
         let reference_bits: Vec<Vec<u32>> = reference
             .iter()
             .map(|r| {
-                coding.decode_into(r, &cfg, &mut decoded, &mut dscratch);
+                coding.decode_into(r, &cfg, &mut decoded, &mut scratch);
                 decoded.iter().map(|v| v.to_bits()).collect()
             })
             .collect();
@@ -587,7 +586,7 @@ fn coding_micro_report(
                 );
             }
             for (r, expected) in reference.iter().zip(&reference_bits) {
-                coding.decode_into(r, &cfg, &mut decoded, &mut dscratch);
+                coding.decode_into(r, &cfg, &mut decoded, &mut scratch);
                 let got: Vec<u32> = decoded.iter().map(|v| v.to_bits()).collect();
                 assert_eq!(
                     &got,
@@ -606,7 +605,7 @@ fn coding_micro_report(
         });
         let decode_rates = best_rates(isas, SAMPLES, || {
             for r in &reference {
-                coding.decode_into(r, &cfg, &mut decoded, &mut dscratch);
+                coding.decode_into(r, &cfg, &mut decoded, &mut scratch);
                 black_box(&decoded);
             }
         });

@@ -15,10 +15,10 @@
 //! worker thread owns a single reusable [`SimWorkspace`] (created once per
 //! worker via [`try_parallel_map_init`]) and simulates its chunks through
 //! the batched [`SnnNetwork::simulate_batch`] API, so the steady-state hot
-//! loop allocates nothing per sample.  The engine advances a chunk in
-//! layer-major tiles of up to 8 samples, so at the default batch size of 8
-//! every chunk is one tile and each dense weight is read once per chunk
-//! rather than once per sample.  A chunk reduces to the pair
+//! loop allocates nothing per sample.  A chunk holds at most [`TILE`]
+//! samples, the engine's layer-major tile, so every chunk is one tile and
+//! each dense weight is read once per chunk rather than once per sample.
+//! The pool schedules one chunk per task.  A chunk reduces to the pair
 //! `(correct, spikes)` of integer counts; per-point sums over chunks in
 //! index order equal the old per-sample sums exactly.
 //!
@@ -27,8 +27,8 @@
 //! and the sample index, independent of chunking and of which worker (and
 //! therefore which workspace) runs the chunk.  Reductions are integer sums
 //! folded in index order, so the produced [`SweepPoint`]s and
-//! [`EvaluationSummary`]s are bit-identical for every thread count, batch
-//! size and workspace reuse pattern, and a point evaluated alone equals the
+//! [`EvaluationSummary`]s are bit-identical for every thread count and
+//! workspace reuse pattern, and a point evaluated alone equals the
 //! same point inside a grid.  The `workspace_bit_identity` integration
 //! tests additionally pin this engine byte-for-byte against a per-sample
 //! loop over the allocating reference simulator.
@@ -45,7 +45,7 @@ use nrsnn_noise::WeightScaling;
 use nrsnn_runtime::{derive_seed, try_parallel_map, try_parallel_map_init, ParallelConfig};
 use nrsnn_snn::{
     BatchOutcome, CodingConfig, CodingKind, EvaluationSummary, NeuralCoding, SimWorkspace,
-    SnnNetwork, SpikeTransform,
+    SnnNetwork, SpikeTransform, TILE,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -82,35 +82,19 @@ struct ChunkSpec {
     samples: Range<usize>,
 }
 
-/// Splits `points × samples` into per-point chunks of at most
-/// `parallel.batch_size` samples.  Each chunk is one unit of work for the
-/// pool (see [`chunk_schedule`]), so the worker count and steal granularity
-/// match the old engine, where the pool grouped individual samples into
-/// `batch_size`-sized batches itself.
-fn chunk_grid(points: usize, samples: usize, parallel: &ParallelConfig) -> Vec<ChunkSpec> {
-    let chunk = parallel.batch_size.max(1);
-    let mut chunks = Vec::with_capacity(points * samples.div_ceil(chunk.max(1)).max(1));
+/// Splits `points × samples` into per-point chunks of at most [`TILE`]
+/// samples: one simulation tile, and one unit of work for the pool.
+fn chunk_grid(points: usize, samples: usize) -> Vec<ChunkSpec> {
+    let mut chunks = Vec::with_capacity(points * samples.div_ceil(TILE));
     for point in 0..points {
-        let mut start = 0;
-        while start < samples {
-            let end = (start + chunk).min(samples);
+        for start in (0..samples).step_by(TILE) {
             chunks.push(ChunkSpec {
                 point,
-                samples: start..end,
+                samples: start..(start + TILE).min(samples),
             });
-            start = end;
         }
     }
     chunks
-}
-
-/// Pool configuration for mapping over [`ChunkSpec`]s: the chunks already
-/// carry `batch_size` samples each, so the pool must schedule them one at a
-/// time — re-batching chunks by `batch_size` would square the scheduling
-/// granularity and clamp the worker count to `ceil(chunks / batch_size)`,
-/// serialising small grids that the per-sample engine ran in parallel.
-fn chunk_schedule(parallel: &ParallelConfig) -> ParallelConfig {
-    parallel.with_batch_size(1)
 }
 
 /// Integer reduction of one chunk: (correctly classified, spikes emitted).
@@ -168,9 +152,9 @@ pub(crate) fn evaluate_network(
     // Validate once per evaluation instead of once per sample.
     cfg.validate()?;
     let samples = subset.labels.len();
-    let chunks = chunk_grid(1, samples, parallel);
+    let chunks = chunk_grid(1, samples);
     let counts = try_parallel_map_init(
-        &chunk_schedule(parallel),
+        parallel,
         &chunks,
         WorkerScratch::default,
         |scratch, _, chunk| {
@@ -222,12 +206,7 @@ pub(crate) fn run_grid(
             });
         network_of_spec.push(slot);
     }
-    // One conversion per task (batch size 1): with the handful of distinct
-    // scalings a sweep produces, the default batch size would fold them all
-    // into one pool batch and convert serially.
-    let networks = try_parallel_map(&chunk_schedule(parallel), &scalings, |_, scaling| {
-        pipeline.to_snn(scaling)
-    })?;
+    let networks = try_parallel_map(parallel, &scalings, |_, scaling| pipeline.to_snn(scaling))?;
 
     // Codings and their configs are cheap; build them per point up front so
     // the hot tasks only borrow.  Validating every coding kind and config
@@ -249,9 +228,9 @@ pub(crate) fn run_grid(
 
     // One task per (point, sample-range) chunk; every worker reuses one
     // workspace across all the chunks it runs.
-    let chunks = chunk_grid(specs.len(), samples, parallel);
+    let chunks = chunk_grid(specs.len(), samples);
     let counts = try_parallel_map_init(
-        &chunk_schedule(parallel),
+        parallel,
         &chunks,
         WorkerScratch::default,
         |scratch, _, chunk| {
@@ -333,34 +312,23 @@ mod tests {
 
     #[test]
     fn chunking_covers_every_cell_exactly_once() {
-        for (points, samples, batch) in [(3, 10, 4), (1, 1, 8), (2, 7, 7), (4, 5, 100)] {
-            let parallel = ParallelConfig::serial().with_batch_size(batch);
-            let chunks = chunk_grid(points, samples, &parallel);
+        for (points, samples) in [(3, 10), (1, 1), (2, 7), (4, 5), (2, 17)] {
+            let chunks = chunk_grid(points, samples);
+            assert_eq!(chunks.len(), points * samples.div_ceil(TILE));
             let mut seen = vec![0usize; points * samples];
             for chunk in &chunks {
-                assert!(chunk.samples.len() <= batch);
+                assert!(chunk.samples.len() <= TILE);
                 for s in chunk.samples.clone() {
                     seen[chunk.point * samples + s] += 1;
                 }
             }
             assert!(
                 seen.iter().all(|&n| n == 1),
-                "points={points} samples={samples} batch={batch}"
+                "points={points} samples={samples}"
             );
         }
-    }
-
-    #[test]
-    fn chunk_schedule_feeds_the_pool_one_chunk_at_a_time() {
-        // A chunk already holds `batch_size` samples; if the pool re-batched
-        // chunks by `batch_size`, a 24-sample evaluation at batch 8 would
-        // collapse to ceil(3/8) = 1 schedulable batch and run serial.
-        let parallel = ParallelConfig::with_threads(4).with_batch_size(8);
-        assert_eq!(chunk_schedule(&parallel).batch_size, 1);
-        assert_eq!(chunk_schedule(&parallel).threads, parallel.threads);
-        // 24 samples -> 3 chunks -> 3 schedulable units, as the per-sample
-        // engine had (24 samples -> 3 pool batches).
-        assert_eq!(chunk_grid(1, 24, &parallel).len(), 3);
+        // A 24-sample evaluation is three whole tiles: three pool tasks.
+        assert_eq!(chunk_grid(1, 24).len(), 3);
     }
 
     #[test]

@@ -323,7 +323,7 @@ impl JitterSweep {
 /// Table I) on an auto-sized thread pool.
 ///
 /// Shorthand for [`DeletionSweep`] with [`ParallelConfig::auto`]; use the
-/// builder to pin thread count or batch size.
+/// builder to pin the thread count.
 ///
 /// # Errors
 /// Returns [`NrsnnError::InvalidConfig`] for an empty coding list and
@@ -345,7 +345,7 @@ pub fn deletion_sweep(
 /// Table II) on an auto-sized thread pool.
 ///
 /// Shorthand for [`JitterSweep`] with [`ParallelConfig::auto`]; use the
-/// builder to pin thread count or batch size.
+/// builder to pin the thread count.
 ///
 /// # Errors
 /// Returns [`NrsnnError::InvalidConfig`] for an empty coding list and
@@ -541,11 +541,10 @@ mod tests {
                 .run(&pipeline)
                 .unwrap()
         };
-        let serial = deletion(ParallelConfig::serial());
-        let threaded = deletion(ParallelConfig::with_threads(4));
-        let tiny_batches = deletion(ParallelConfig::with_threads(4).with_batch_size(1));
-        assert_eq!(serial, threaded);
-        assert_eq!(serial, tiny_batches);
+        assert_eq!(
+            deletion(ParallelConfig::serial()),
+            deletion(ParallelConfig::with_threads(4))
+        );
 
         let jitter = |parallel: ParallelConfig| {
             JitterSweep::new(&codings, &[0.0, 1.5])

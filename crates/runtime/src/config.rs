@@ -1,10 +1,4 @@
-//! Thread-count and batching configuration for the executor.
-
-/// Default number of consecutive tasks handed to a worker at once.
-///
-/// Sweep tasks (one SNN inference each) are milliseconds-scale, so small
-/// batches keep stealing granular without measurable scheduling overhead.
-pub const DEFAULT_BATCH_SIZE: usize = 8;
+//! Thread-count configuration for the executor.
 
 /// Environment variable consulted by [`ParallelConfig::auto`] (and any other
 /// configuration with `threads = 0`) to fix the worker count.
@@ -27,7 +21,7 @@ pub const THREADS_ENV_VAR: &str = "NRSNN_THREADS";
 /// always wins over the environment, which keeps tests and benches pinned to
 /// the worker count they ask for.
 ///
-/// Changing either field never changes *what* is computed — the executor
+/// The thread count never changes *what* is computed — the executor
 /// reassembles results by task index and tasks derive their own seeds — only
 /// how the work is spread over cores.
 ///
@@ -43,42 +37,23 @@ pub struct ParallelConfig {
     /// Number of worker threads; `0` resolves via `NRSNN_THREADS`, then
     /// the machine's available parallelism.
     pub threads: usize,
-    /// Number of consecutive task indices per scheduled batch (minimum 1).
-    pub batch_size: usize,
 }
 
 impl ParallelConfig {
-    /// Auto-detected thread count (env var, then hardware) with the default
-    /// batch size.
+    /// Auto-detected thread count (env var, then hardware).
     pub fn auto() -> Self {
-        ParallelConfig {
-            threads: 0,
-            batch_size: DEFAULT_BATCH_SIZE,
-        }
+        ParallelConfig { threads: 0 }
     }
 
     /// Single-threaded execution: the reference path every parallel run must
     /// reproduce bit for bit.
     pub fn serial() -> Self {
-        ParallelConfig {
-            threads: 1,
-            batch_size: DEFAULT_BATCH_SIZE,
-        }
+        ParallelConfig { threads: 1 }
     }
 
     /// An explicit worker count (ignores `NRSNN_THREADS`).
     pub fn with_threads(threads: usize) -> Self {
-        ParallelConfig {
-            threads,
-            batch_size: DEFAULT_BATCH_SIZE,
-        }
-    }
-
-    /// Sets the batch size (builder style); values below 1 are clamped.
-    #[must_use]
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
-        self
+        ParallelConfig { threads }
     }
 
     /// The worker count this configuration resolves to right now.
@@ -123,12 +98,6 @@ mod tests {
     fn auto_resolves_to_at_least_one_worker() {
         assert!(ParallelConfig::auto().effective_threads() >= 1);
         assert_eq!(ParallelConfig::default(), ParallelConfig::auto());
-    }
-
-    #[test]
-    fn batch_size_is_clamped_to_one() {
-        assert_eq!(ParallelConfig::auto().with_batch_size(0).batch_size, 1);
-        assert_eq!(ParallelConfig::auto().with_batch_size(32).batch_size, 32);
     }
 
     #[test]

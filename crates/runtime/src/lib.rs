@@ -10,8 +10,8 @@
 //! grid on all cores *without changing a single result bit*:
 //!
 //! * [`parallel_map`] / [`try_parallel_map`] — a fork-join map over a slice.
-//!   Task batches are pre-distributed round-robin over per-worker deques;
-//!   idle workers steal from the back of their peers' deques, so uneven task
+//!   Tasks are pre-distributed round-robin over per-worker deques; idle
+//!   workers steal from the back of their peers' deques, so uneven task
 //!   costs (deep CNN points next to cheap MLP points) still load-balance.
 //!   Results are reassembled **by task index**, so the output order never
 //!   depends on scheduling.
@@ -24,7 +24,7 @@
 //!   threading one RNG through all tasks serially) is what makes the
 //!   parallel and serial paths bit-identical.
 //!
-//! Thread count and batch size are controlled by [`ParallelConfig`]; a
+//! The thread count is controlled by [`ParallelConfig`]; a
 //! [`ParallelConfig::auto`] configuration honours the `NRSNN_THREADS`
 //! environment variable.
 //!
@@ -75,7 +75,7 @@ mod pool;
 mod seed;
 mod service;
 
-pub use config::{ParallelConfig, DEFAULT_BATCH_SIZE, THREADS_ENV_VAR};
+pub use config::{ParallelConfig, THREADS_ENV_VAR};
 pub use pool::{parallel_map, parallel_map_init, try_parallel_map, try_parallel_map_init};
 pub use seed::derive_seed;
 pub use service::WorkerPool;

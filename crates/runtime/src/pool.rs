@@ -2,7 +2,6 @@
 
 use std::collections::VecDeque;
 use std::convert::Infallible;
-use std::ops::Range;
 use std::sync::Mutex;
 
 use crate::ParallelConfig;
@@ -116,9 +115,7 @@ where
     if len == 0 {
         return Ok(Vec::new());
     }
-    let batch = config.batch_size.max(1);
-    let num_batches = len.div_ceil(batch);
-    let threads = config.effective_threads().clamp(1, num_batches);
+    let threads = config.effective_threads().clamp(1, len);
 
     if threads == 1 {
         let mut state = init();
@@ -129,18 +126,12 @@ where
         return Ok(out);
     }
 
-    // Pre-distribute the batches round-robin over per-worker deques.  No new
+    // Pre-distribute the tasks round-robin over per-worker deques.  No new
     // tasks are ever injected, so "all deques empty" is a stable termination
     // condition.
-    let queues: Vec<Mutex<VecDeque<Range<usize>>>> =
-        (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (batch_index, start) in (0..len).step_by(batch).enumerate() {
-        let end = (start + batch).min(len);
-        queues[batch_index % threads]
-            .lock()
-            .expect("queue lock poisoned")
-            .push_back(start..end);
-    }
+    let queues: Vec<Mutex<VecDeque<usize>>> = (0..threads)
+        .map(|worker| Mutex::new((worker..len).step_by(threads).collect()))
+        .collect();
 
     let mut slots: Vec<Option<Result<R, E>>> = (0..len).map(|_| None).collect();
     let result_sink: Mutex<Vec<(usize, Result<R, E>)>> = Mutex::new(Vec::with_capacity(len));
@@ -152,14 +143,12 @@ where
             let init = &init;
             let f = &f;
             scope.spawn(move || {
-                // One state per worker thread, reused across all the batches
+                // One state per worker thread, reused across all the tasks
                 // this worker runs or steals.
                 let mut state = init();
                 let mut local: Vec<(usize, Result<R, E>)> = Vec::new();
-                while let Some(range) = next_batch(queues, worker) {
-                    for index in range {
-                        local.push((index, f(&mut state, index, &items[index])));
-                    }
+                while let Some(index) = next_task(queues, worker) {
+                    local.push((index, f(&mut state, index, &items[index])));
                 }
                 result_sink
                     .lock()
@@ -182,25 +171,25 @@ where
     Ok(out)
 }
 
-/// Pops the worker's own next batch (front of its deque, FIFO) or steals the
-/// last batch (back of the deque, the coldest work) from a peer.
-fn next_batch(queues: &[Mutex<VecDeque<Range<usize>>>], worker: usize) -> Option<Range<usize>> {
-    if let Some(range) = queues[worker]
+/// Pops the worker's own next task (front of its deque, FIFO) or steals the
+/// last task (back of the deque, the coldest work) from a peer.
+fn next_task(queues: &[Mutex<VecDeque<usize>>], worker: usize) -> Option<usize> {
+    if let Some(index) = queues[worker]
         .lock()
         .expect("queue lock poisoned")
         .pop_front()
     {
-        return Some(range);
+        return Some(index);
     }
     let n = queues.len();
     for offset in 1..n {
         let victim = (worker + offset) % n;
-        if let Some(range) = queues[victim]
+        if let Some(index) = queues[victim]
             .lock()
             .expect("queue lock poisoned")
             .pop_back()
         {
-            return Some(range);
+            return Some(index);
         }
     }
     None
@@ -211,13 +200,10 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn cfg(threads: usize, batch: usize) -> ParallelConfig {
-        ParallelConfig::with_threads(threads).with_batch_size(batch)
-    }
-
     #[test]
     fn empty_input_yields_empty_output() {
-        let out: Vec<u32> = parallel_map(&cfg(4, 2), &[] as &[u32], |_, &x| x);
+        let out: Vec<u32> =
+            parallel_map(&ParallelConfig::with_threads(4), &[] as &[u32], |_, &x| x);
         assert!(out.is_empty());
     }
 
@@ -226,17 +212,19 @@ mod tests {
         let items: Vec<usize> = (0..257).collect();
         let expected: Vec<usize> = items.iter().map(|x| x * 3 + 1).collect();
         for threads in [1, 2, 3, 4, 8] {
-            for batch in [1, 3, 8, 1000] {
-                let out = parallel_map(&cfg(threads, batch), &items, |_, &x| x * 3 + 1);
-                assert_eq!(out, expected, "threads={threads} batch={batch}");
-            }
+            let out = parallel_map(&ParallelConfig::with_threads(threads), &items, |_, &x| {
+                x * 3 + 1
+            });
+            assert_eq!(out, expected, "threads={threads}");
         }
     }
 
     #[test]
     fn indices_match_items() {
         let items: Vec<usize> = (0..100).collect();
-        let out = parallel_map(&cfg(4, 4), &items, |index, &item| (index, item));
+        let out = parallel_map(&ParallelConfig::with_threads(4), &items, |index, &item| {
+            (index, item)
+        });
         for (index, &(seen_index, item)) in out.iter().enumerate() {
             assert_eq!(index, seen_index);
             assert_eq!(index, item);
@@ -245,10 +233,10 @@ mod tests {
 
     #[test]
     fn uneven_task_costs_still_complete_via_stealing() {
-        // One pathological batch (index 0) sleeps; stealing must keep the
+        // One pathological task (index 0) sleeps; stealing must keep the
         // other workers busy and everything must still come back in order.
         let items: Vec<u64> = (0..64).collect();
-        let out = parallel_map(&cfg(4, 1), &items, |_, &x| {
+        let out = parallel_map(&ParallelConfig::with_threads(4), &items, |_, &x| {
             if x == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(20));
             }
@@ -262,7 +250,7 @@ mod tests {
     fn every_task_runs_exactly_once() {
         let counter = AtomicUsize::new(0);
         let items: Vec<u32> = (0..1000).collect();
-        parallel_map(&cfg(8, 7), &items, |_, _| {
+        parallel_map(&ParallelConfig::with_threads(8), &items, |_, _| {
             counter.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(counter.load(Ordering::Relaxed), 1000);
@@ -273,7 +261,7 @@ mod tests {
         let items: Vec<u32> = (0..100).collect();
         for threads in [1, 4] {
             let result: Result<Vec<u32>, u32> =
-                try_parallel_map(&cfg(threads, 3), &items, |_, &x| {
+                try_parallel_map(&ParallelConfig::with_threads(threads), &items, |_, &x| {
                     if x == 41 || x == 97 {
                         Err(x)
                     } else {
@@ -287,7 +275,7 @@ mod tests {
     #[test]
     fn more_threads_than_batches_degrades_gracefully() {
         let items = [1u8, 2, 3];
-        let out = parallel_map(&cfg(64, 2), &items, |_, &x| x + 1);
+        let out = parallel_map(&ParallelConfig::with_threads(64), &items, |_, &x| x + 1);
         assert_eq!(out, vec![2, 3, 4]);
     }
 
@@ -296,7 +284,7 @@ mod tests {
         let states = AtomicUsize::new(0);
         let items: Vec<usize> = (0..200).collect();
         let out = parallel_map_init(
-            &cfg(4, 5),
+            &ParallelConfig::with_threads(4),
             &items,
             || {
                 states.fetch_add(1, Ordering::Relaxed);
@@ -320,7 +308,12 @@ mod tests {
         let items: Vec<usize> = (0..97).collect();
         let expected: Vec<usize> = items.iter().map(|x| x + 7).collect();
         for threads in [1, 2, 4, 8] {
-            let out = parallel_map_init(&cfg(threads, 3), &items, || 0usize, |_, _, &x| x + 7);
+            let out = parallel_map_init(
+                &ParallelConfig::with_threads(threads),
+                &items,
+                || 0usize,
+                |_, _, &x| x + 7,
+            );
             assert_eq!(out, expected, "threads={threads}");
         }
     }
@@ -330,7 +323,7 @@ mod tests {
         let items: Vec<u32> = (0..50).collect();
         for threads in [1, 4] {
             let result: Result<Vec<u32>, u32> = try_parallel_map_init(
-                &cfg(threads, 2),
+                &ParallelConfig::with_threads(threads),
                 &items,
                 || (),
                 |(), _, &x| {

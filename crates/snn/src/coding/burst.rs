@@ -3,12 +3,8 @@
 use nrsnn_tensor::simd::{active_backend, encode_quant_with, quantize_value};
 
 use crate::coding::CodingScratch;
+use crate::config::MAX_EXACT_COUNT;
 use crate::{CodingConfig, CodingKind, NeuralCoding, Result, SnnError, SpikeRaster};
-
-/// Largest `max_spikes` the lane-blocked encode handles exactly (see the
-/// same constant in the rate coding); larger bursts — far beyond any
-/// realistic configuration — take the per-value path.
-const MAX_LANE_SPIKES: u32 = 1 << 24;
 
 /// Burst coding after Park et al. (DAC 2019): an activation is transmitted
 /// as a short burst of consecutive spikes, and the decoder uses the
@@ -43,14 +39,16 @@ impl BurstCoding {
     /// Creates a burst coding with a custom maximum burst length.
     ///
     /// # Errors
-    /// Returns [`SnnError::InvalidConfig`] for a zero burst length: a burst
-    /// of at most 0 spikes cannot carry a value, and silently clamping it
-    /// would change the quantum `θ/N_max` behind the caller's back.
+    /// Returns [`SnnError::InvalidConfig`] for a zero burst length — a
+    /// burst of at most 0 spikes cannot carry a value, and silently
+    /// clamping it would change the quantum `θ/N_max` behind the caller's
+    /// back — and for a length above `2^24`, beyond which the lane
+    /// quantiser no longer counts spikes exactly.
     pub fn with_max_spikes(max_spikes: u32) -> Result<Self> {
-        if max_spikes == 0 {
-            return Err(SnnError::InvalidConfig(
-                "burst coding max_spikes must be at least 1".to_string(),
-            ));
+        if max_spikes == 0 || max_spikes > MAX_EXACT_COUNT {
+            return Err(SnnError::InvalidConfig(format!(
+                "burst coding max_spikes must be in 1..=2^24, got {max_spikes}"
+            )));
         }
         Ok(BurstCoding {
             max_spikes,
@@ -85,15 +83,8 @@ impl NeuralCoding for BurstCoding {
     }
 
     fn encode(&self, activation: f32, cfg: &CodingConfig) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.encode_into(activation, cfg, &mut out);
-        out
-    }
-
-    fn encode_into(&self, activation: f32, cfg: &CodingConfig, out: &mut Vec<u32>) {
-        out.clear();
         let n = quantize_value(activation, cfg.threshold, self.max_spikes as f32) as u32;
-        out.extend(0..n.min(self.max_spikes).min(cfg.time_steps));
+        (0..n.min(self.max_spikes).min(cfg.time_steps)).collect()
     }
 
     fn encode_raster_into(
@@ -103,12 +94,6 @@ impl NeuralCoding for BurstCoding {
         raster: &mut SpikeRaster,
         scratch: &mut CodingScratch,
     ) {
-        if self.max_spikes > MAX_LANE_SPIKES {
-            raster.fill_trains(values.len(), cfg.time_steps, |i, train| {
-                self.encode_into(values[i], cfg, train);
-            });
-            return;
-        }
         scratch.lanes.clear();
         scratch.lanes.resize(values.len(), 0.0);
         encode_quant_with(
@@ -120,7 +105,7 @@ impl NeuralCoding for BurstCoding {
         );
         let counts = &scratch.lanes;
         let cap = self.max_spikes.min(cfg.time_steps);
-        raster.fill_trains_trusted(values.len(), cfg.time_steps, |i, train| {
+        raster.fill_trains(values.len(), cfg.time_steps, |i, train| {
             train.extend(0..(counts[i] as u32).min(cap));
         });
     }
@@ -224,6 +209,18 @@ mod tests {
     fn zero_max_spikes_is_a_typed_error_not_a_silent_clamp() {
         assert!(matches!(
             BurstCoding::with_max_spikes(0),
+            Err(SnnError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
+    fn max_spikes_are_capped_at_two_to_the_24() {
+        assert_eq!(
+            BurstCoding::with_max_spikes(1 << 24).unwrap().max_spikes(),
+            1 << 24
+        );
+        assert!(matches!(
+            BurstCoding::with_max_spikes((1 << 24) + 1),
             Err(SnnError::InvalidConfig(_))
         ));
     }

@@ -30,14 +30,16 @@ use serde::{Deserialize, Serialize};
 
 use crate::{CodingConfig, SpikeRaster};
 
-/// Reusable structure-of-arrays scratch for the lane-blocked encode paths.
+/// Reusable scratch for the block encode and decode paths.
 ///
 /// The block encoders ([`NeuralCoding::encode_raster_into`]) split each
 /// coding into a vectorisable head — one scalar quantity per neuron,
 /// computed 8 lanes at a time — and a scalar tail that materialises the
 /// variable-length spike trains from those quantities.  This scratch owns
 /// the SoA buffers the head writes and the tail reads, so blocks touch
-/// contiguous memory and the simulation workspace stays allocation-free in
+/// contiguous memory, plus the PSC kernel table the block decoders
+/// ([`NeuralCoding::decode_into`]) fill.  One scratch serves both
+/// directions, and the simulation workspace stays allocation-free in
 /// steady state (the buffers grow to the widest layer seen and never
 /// shrink).
 #[derive(Debug, Clone, Default)]
@@ -63,6 +65,9 @@ pub struct CodingScratch {
     /// `(kind, time_steps, period)` the current table was built for; the
     /// table is rebuilt lazily whenever the coding or window changes.
     pub(crate) train_key: Option<(CodingKind, u32, u32)>,
+    /// The TTFS/TTAS PSC kernel `θ·exp(−t/τ)` tabulated over the window,
+    /// one f32 per step, for decodes that carry more spikes than steps.
+    pub(crate) kernel: Vec<f32>,
 }
 
 impl CodingScratch {
@@ -88,41 +93,28 @@ pub trait NeuralCoding: Send + Sync {
     /// Encodes a non-negative activation into a sorted spike train within a
     /// window of `cfg.time_steps` steps.  Values are clamped to
     /// `[0, cfg.threshold]`.
-    fn encode(&self, activation: f32, cfg: &CodingConfig) -> Vec<u32>;
-
-    /// Encodes into a caller-provided buffer (cleared first, capacity kept).
     ///
-    /// Must produce exactly the spikes of [`NeuralCoding::encode`]; every
-    /// coding in this crate overrides the default with an allocation-free
-    /// implementation, which is what makes the batched simulation workspace
-    /// (`SimWorkspace`) allocation-free in steady state.
-    fn encode_into(&self, activation: f32, cfg: &CodingConfig, out: &mut Vec<u32>) {
-        out.clear();
-        out.extend_from_slice(&self.encode(activation, cfg));
-    }
+    /// This per-value path is the reference the block encoder is tested
+    /// against; the engine runs [`NeuralCoding::encode_raster_into`].
+    fn encode(&self, activation: f32, cfg: &CodingConfig) -> Vec<u32>;
 
     /// Encodes a whole activation vector into `raster` (one train per
     /// value) through the coding's lane-blocked block path.
     ///
-    /// Must fill `raster` with exactly the trains
-    /// [`NeuralCoding::encode_into`] would produce per value — the block
-    /// path computes the per-neuron scalar quantities (spike counts, bit
-    /// patterns, clamped ratios) 8 lanes at a time into `scratch`, then
-    /// materialises the variable-length trains in a canonical scalar tail.
-    /// The default falls back to the per-value path, so custom codings
-    /// outside this crate keep working unchanged.
+    /// Must fill `raster` with exactly the trains [`NeuralCoding::encode`]
+    /// produces per value — the block path computes the per-neuron scalar
+    /// quantities (spike counts, bit patterns, clamped ratios) 8 lanes at a
+    /// time into `scratch`, then materialises the variable-length trains in
+    /// a canonical scalar tail.  `cfg` must be valid
+    /// ([`CodingConfig::validate`]): the lane quantisers count exactly only
+    /// inside its range.
     fn encode_raster_into(
         &self,
         values: &[f32],
         cfg: &CodingConfig,
         raster: &mut SpikeRaster,
         scratch: &mut CodingScratch,
-    ) {
-        let _ = scratch;
-        raster.fill_trains(values.len(), cfg.time_steps, |i, train| {
-            self.encode_into(values[i], cfg, train);
-        });
-    }
+    );
 
     /// Integrates a spike train through the coding's PSC kernel, recovering
     /// an activation estimate.
@@ -135,27 +127,29 @@ pub trait NeuralCoding: Send + Sync {
     /// changing a bit.
     fn decode(&self, train: &[u32], cfg: &CodingConfig) -> f32;
 
-    /// Decodes every train of `raster` into `out` (cleared first, capacity
-    /// kept): `out[n] = decode(raster.train(n))` in neuron order, bit for
-    /// bit.
+    /// Decodes every train of `raster` into `out`, one value per neuron:
+    /// `out[n] = decode(raster.train(n))` in neuron order, bit for bit.
     ///
     /// `scratch` is caller-owned reusable space (the simulation workspace
-    /// passes one buffer per inference): codings with a per-raster-constant
+    /// passes the one it encodes with): codings with a per-raster-constant
     /// PSC structure hoist it in there — e.g. TTFS and TTAS tabulate their
     /// exponentially decaying kernel once per raster instead of calling
-    /// `exp` once per spike.  The default runs the per-train loop and
-    /// ignores it; it is already allocation-free because
-    /// [`NeuralCoding::decode`] takes the train by reference.
+    /// `exp` once per spike.  The default runs the per-train loop.
+    ///
+    /// # Panics
+    /// Panics unless `out.len() == raster.num_neurons()`.
     fn decode_into(
         &self,
         raster: &SpikeRaster,
         cfg: &CodingConfig,
-        out: &mut Vec<f32>,
-        scratch: &mut Vec<f32>,
+        out: &mut [f32],
+        scratch: &mut CodingScratch,
     ) {
         let _ = scratch;
-        out.clear();
-        out.extend(raster.iter().map(|(_, train)| self.decode(train, cfg)));
+        assert_eq!(out.len(), raster.num_neurons(), "one slot per neuron");
+        for (slot, (_, train)) in out.iter_mut().zip(raster.iter()) {
+            *slot = self.decode(train, cfg);
+        }
     }
 }
 
@@ -382,11 +376,15 @@ mod tests {
         }
     }
 
-    /// `encode_into` must reproduce `encode` exactly for every coding and a
-    /// spread of values, and `decode_into` must match per-train `decode` —
-    /// this is the contract the allocation-free simulation path relies on.
+    /// The block paths must reproduce the per-value `encode` and `decode`
+    /// exactly for every coding and a spread of values, through a raster
+    /// and scratch left dirty by the previous window and coding — this is
+    /// the contract the allocation-free simulation path relies on.
     #[test]
     fn into_variants_match_allocating_encode_decode() {
+        let values = [-0.2f32, 0.0, 1e-6, 0.1, 0.33, 0.5, 0.73, 0.99, 1.0, 2.5];
+        let mut raster = SpikeRaster::new(0, 1);
+        let mut scratch = CodingScratch::new();
         for time_steps in [17, 64, 128] {
             let cfg = CodingConfig::new(time_steps, 1.0);
             for kind in [
@@ -398,24 +396,16 @@ mod tests {
                 CodingKind::Ttas(1),
             ] {
                 let coding = kind.build();
-                let mut buf = vec![77u32; 3]; // dirty: must be cleared
-                let values = [-0.2f32, 0.0, 1e-6, 0.1, 0.33, 0.5, 0.73, 0.99, 1.0, 2.5];
-                for &v in &values {
-                    coding.encode_into(v, &cfg, &mut buf);
-                    assert_eq!(buf, coding.encode(v, &cfg), "{} value {v}", coding.name());
+                coding.encode_raster_into(&values, &cfg, &mut raster, &mut scratch);
+                let trains = values.iter().map(|&v| coding.encode(v, &cfg)).collect();
+                let reference = SpikeRaster::from_trains(trains, time_steps);
+                assert_eq!(raster, reference, "{}", coding.name());
+                let mut decoded = [9.0f32; 10];
+                coding.decode_into(&raster, &cfg, &mut decoded, &mut scratch);
+                for (n, v) in decoded.iter().enumerate() {
+                    let expected = coding.decode(raster.train(n), &cfg);
+                    assert_eq!(v.to_bits(), expected.to_bits(), "{}", coding.name());
                 }
-                let trains: Vec<Vec<u32>> =
-                    values.iter().map(|&v| coding.encode(v, &cfg)).collect();
-                let raster = SpikeRaster::from_trains(trains.clone(), cfg.time_steps);
-                let mut decoded = vec![9.0f32; 2];
-                coding.decode_into(&raster, &cfg, &mut decoded, &mut Vec::new());
-                let reference: Vec<f32> = trains.iter().map(|t| coding.decode(t, &cfg)).collect();
-                assert_eq!(
-                    decoded.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "{}",
-                    coding.name()
-                );
             }
         }
     }
@@ -464,7 +454,8 @@ mod tests {
     }
 
     /// Block decode of a raster with silent neurons, through dirty output
-    /// and scratch buffers, must reproduce per-train `decode` bit for bit.
+    /// and scratch buffers, must reproduce per-train `decode` bit for bit,
+    /// and reject an output slice of the wrong length.
     #[test]
     fn block_decode_matches_per_train_decode_with_silent_neurons() {
         let cfg = CodingConfig::new(64, 1.0);
@@ -480,8 +471,9 @@ mod tests {
             let trains: Vec<Vec<u32>> = values.iter().map(|&v| coding.encode(v, &cfg)).collect();
             let raster = SpikeRaster::from_trains(trains, cfg.time_steps);
 
-            let mut block = vec![-9.0f32; 100]; // dirty: must be reset
-            let mut scratch = vec![7.0f32; 3]; // dirty: must be rebuilt
+            let mut block = vec![-9.0f32; values.len()]; // dirty: must be overwritten
+            let mut scratch = CodingScratch::new();
+            scratch.kernel = vec![7.0f32; 3]; // dirty: must be rebuilt
             coding.decode_into(&raster, &cfg, &mut block, &mut scratch);
             let reference: Vec<f32> = (0..raster.num_neurons())
                 .map(|n| coding.decode(raster.train(n), &cfg))
@@ -492,6 +484,10 @@ mod tests {
                 "{}",
                 kind.label()
             );
+            let short = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                coding.decode_into(&raster, &cfg, &mut block[1..], &mut scratch);
+            }));
+            assert!(short.is_err(), "{}: short slice accepted", kind.label());
         }
     }
 

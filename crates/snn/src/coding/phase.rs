@@ -1,24 +1,16 @@
 //! Phase coding (weighted spikes).
 
-use nrsnn_tensor::simd::{
-    active_backend, phase_bits_value, phase_bits_with, phase_pow2_sum_with, sum8_by,
-};
+use nrsnn_tensor::simd::{active_backend, phase_bits_value, phase_bits_with, phase_pow2_sum_with};
 
 use crate::coding::CodingScratch;
 use crate::{CodingConfig, CodingKind, NeuralCoding, Result, SnnError, SpikeRaster};
 
-/// Largest period whose phase pattern fits the `u64` bit representation
-/// the lane-blocked encode computes; longer periods (beyond any realistic
-/// resolution — 64 binary digits exhaust f32 long before) take the legacy
-/// greedy path.
-const MAX_LANE_PERIOD: u32 = 64;
-
-/// Largest period decoded through the exact integer accumulator: the
-/// weighted-spike sum `Σ 2^-(phase+1)` is accumulated as the integer
-/// `Σ 2^(period-1-phase)`, which stays exact in a `u64` for any realistic
-/// train while `period ≤ 24` keeps the largest per-spike term comfortably
-/// below the overflow horizon.  Longer periods keep the float fold.
-const MAX_EXACT_PERIOD: u32 = 24;
+/// Largest period whose every phase can stay silent.  Phase `k` fires when
+/// the remainder clears `2^-(k+1) − 1e-6`, and that threshold turns
+/// negative from `k = 19` on (`2^-20 < 1e-6`): a period of 20 or more would
+/// fire its trailing phases for every value, emitting spikes the value does
+/// not contain.
+const MAX_PERIOD: u32 = 19;
 
 /// Bounds for the precomputed train table the block encode uses: with
 /// `period ≤ 8` there are at most 256 distinct bit patterns, so every
@@ -53,14 +45,16 @@ impl PhaseCoding {
     /// Creates a phase coding with a custom period (number of phases).
     ///
     /// # Errors
-    /// Returns [`SnnError::InvalidConfig`] for a zero period: a period of 0
-    /// phases carries no bits, and silently clamping it would change the
-    /// coding's resolution behind the caller's back.
+    /// Returns [`SnnError::InvalidConfig`] for a zero period — a period of
+    /// 0 phases carries no bits, and silently clamping it would change the
+    /// coding's resolution behind the caller's back — and for a period
+    /// above 19, whose trailing phases would fire for every value (their
+    /// firing threshold `2^-(k+1) − 1e-6` is negative).
     pub fn with_period(period: u32) -> Result<Self> {
-        if period == 0 {
-            return Err(SnnError::InvalidConfig(
-                "phase coding period must be at least 1 phase".to_string(),
-            ));
+        if period == 0 || period > MAX_PERIOD {
+            return Err(SnnError::InvalidConfig(format!(
+                "phase coding period must be in 1..={MAX_PERIOD} phases, got {period}"
+            )));
         }
         Ok(PhaseCoding { period })
     }
@@ -70,18 +64,14 @@ impl PhaseCoding {
         self.period
     }
 
-    /// Weight of a spike at absolute time `t`.
-    fn phase_weight(&self, t: u32) -> f32 {
-        let phase = t % self.period;
-        0.5f32.powi(phase as i32 + 1)
-    }
-
     /// The weighted-spike sum of a train as an exact integer: spike at
     /// phase `k` contributes `2^(period-1-k)`, i.e. the float sum
     /// `Σ 2^-(k+1)` scaled by `2^period`.  Integer addition is exact and
     /// associative, so this is independent of spike order, accumulation
     /// strategy and ISA by construction — the decoded value rounds exactly
-    /// once, in [`PhaseCoding::scale_exact`].
+    /// once, in [`PhaseCoding::scale_exact`].  With at most 19 phases a
+    /// spike adds at most `2^18`, so even a train with a spike on every
+    /// step of the longest valid window (`2^24`) stays below `2^42`.
     /// Exactness also frees the accumulation *shape*: power-of-two periods
     /// (the canonical 8, and every `with_period` of 1/2/4/16) dispatch to
     /// the runtime-selected [`phase_pow2_sum_with`] kernel — per-lane
@@ -137,7 +127,7 @@ impl PhaseCoding {
         if bits == 0 {
             return;
         }
-        let mut phases = [0u32; MAX_LANE_PERIOD as usize];
+        let mut phases = [0u32; MAX_PERIOD as usize];
         let mut m = 0usize;
         let mut b = bits;
         while b != 0 {
@@ -170,28 +160,6 @@ impl PhaseCoding {
             }
         }
     }
-
-    /// The original greedy per-period expansion, kept for periods whose bit
-    /// pattern does not fit a `u64` (the lane-blocked path covers every
-    /// realistic period).
-    fn encode_greedy(&self, ratio: f32, cfg: &CodingConfig, out: &mut Vec<u32>) {
-        if ratio <= 0.0 {
-            return;
-        }
-        for p in 0..self.num_periods(cfg) {
-            let mut rem = ratio;
-            for k in 0..self.period {
-                let w = 0.5f32.powi(k as i32 + 1);
-                if rem >= w - 1e-6 {
-                    rem -= w;
-                    let t = p * self.period + k;
-                    if t < cfg.time_steps {
-                        out.push(t);
-                    }
-                }
-            }
-        }
-    }
 }
 
 impl Default for PhaseCoding {
@@ -210,31 +178,12 @@ impl NeuralCoding for PhaseCoding {
     }
 
     fn encode(&self, activation: f32, cfg: &CodingConfig) -> Vec<u32> {
+        let (mut weights, mut thresholds) = (Vec::new(), Vec::new());
+        self.fill_weight_tables(&mut weights, &mut thresholds);
+        let bits = phase_bits_value(activation, cfg.threshold, &weights, &thresholds);
         let mut out = Vec::new();
-        self.encode_into(activation, cfg, &mut out);
+        self.emit_bits(bits, cfg, &mut out);
         out
-    }
-
-    fn encode_into(&self, activation: f32, cfg: &CodingConfig, out: &mut Vec<u32>) {
-        out.clear();
-        if self.period > MAX_LANE_PERIOD {
-            let ratio = nrsnn_tensor::simd::clamp_ratio(activation, cfg.threshold);
-            self.encode_greedy(ratio, cfg, out);
-            return;
-        }
-        let p = self.period as usize;
-        let mut weights = [0.0f32; MAX_LANE_PERIOD as usize];
-        let mut thresholds = [0.0f32; MAX_LANE_PERIOD as usize];
-        for (k, (w, th)) in weights[..p]
-            .iter_mut()
-            .zip(&mut thresholds[..p])
-            .enumerate()
-        {
-            *w = 0.5f32.powi(k as i32 + 1);
-            *th = *w - 1e-6;
-        }
-        let bits = phase_bits_value(activation, cfg.threshold, &weights[..p], &thresholds[..p]);
-        self.emit_bits(bits, cfg, out);
     }
 
     fn encode_raster_into(
@@ -244,12 +193,6 @@ impl NeuralCoding for PhaseCoding {
         raster: &mut SpikeRaster,
         scratch: &mut CodingScratch,
     ) {
-        if self.period > MAX_LANE_PERIOD {
-            raster.fill_trains(values.len(), cfg.time_steps, |i, train| {
-                self.encode_into(values[i], cfg, train);
-            });
-            return;
-        }
         self.fill_weight_tables(&mut scratch.weights, &mut scratch.thresholds);
         scratch.bits.clear();
         scratch.bits.resize(values.len(), 0);
@@ -275,14 +218,14 @@ impl NeuralCoding for PhaseCoding {
             }
             let bits = &scratch.bits;
             let (table, offsets) = (&scratch.train_table, &scratch.train_offsets);
-            raster.fill_trains_trusted(values.len(), cfg.time_steps, |i, train| {
+            raster.fill_trains(values.len(), cfg.time_steps, |i, train| {
                 let b = bits[i] as usize;
                 train.extend_from_slice(&table[offsets[b] as usize..offsets[b + 1] as usize]);
             });
             return;
         }
         let bits = &scratch.bits;
-        raster.fill_trains_trusted(values.len(), cfg.time_steps, |i, train| {
+        raster.fill_trains(values.len(), cfg.time_steps, |i, train| {
             self.emit_bits(bits[i], cfg, train);
         });
     }
@@ -290,16 +233,10 @@ impl NeuralCoding for PhaseCoding {
     fn decode(&self, train: &[u32], cfg: &CodingConfig) -> f32 {
         if train.is_empty() {
             // A silent neuron decodes to exactly +0.0 (the NeuralCoding
-            // contract); `Sum`'s float identity is -0.0, which would leak
-            // a negative zero out of the empty fold below.
+            // contract), with no kernel call.
             return 0.0;
         }
-        if self.period <= MAX_EXACT_PERIOD {
-            return self.scale_exact(self.weighted_sum_exact(train), cfg);
-        }
-        let periods = self.num_periods(cfg) as f32;
-        let sum = sum8_by(train.len(), |i| self.phase_weight(train[i]));
-        cfg.threshold * sum / periods
+        self.scale_exact(self.weighted_sum_exact(train), cfg)
     }
 }
 
@@ -370,18 +307,26 @@ mod tests {
     }
 
     #[test]
-    fn long_periods_fall_back_to_the_greedy_path() {
-        // 100 phases exceed the u64 bit representation; the greedy fallback
-        // must still produce the canonical expansion for the leading bits
-        // (trailing phases below the 1e-6 firing epsilon fire on their own,
-        // as they always have — the fallback preserves that verbatim).
-        let coding = PhaseCoding::with_period(100).unwrap();
-        let cfg = CodingConfig::new(100, 1.0);
-        let spikes = coding.encode(0.75, &cfg);
-        assert_eq!(&spikes[..2], &[0, 1]); // 0.75 = 2^-1 + 2^-2
-        assert!(spikes.windows(2).all(|w| w[0] < w[1]));
-        assert!(spikes.iter().all(|&t| t < 100));
-        assert!(coding.encode(0.0, &cfg).is_empty());
+    fn periods_are_capped_at_nineteen_phases() {
+        // Period 19 is the longest whose every phase threshold is positive:
+        // an exact 0.5 is the MSB alone, one spike per period, through both
+        // encoders.
+        let coding = PhaseCoding::with_period(19).unwrap();
+        let cfg = CodingConfig::new(38, 1.0);
+        assert_eq!(coding.encode(0.5, &cfg), vec![0, 19]);
+        let mut raster = SpikeRaster::new(0, 1);
+        coding.encode_raster_into(&[0.5, 0.0], &cfg, &mut raster, &mut CodingScratch::new());
+        assert_eq!(raster.train(0), &[0, 19]);
+        assert!(raster.train(1).is_empty());
+        assert!((coding.decode(raster.train(0), &cfg) - 0.5).abs() < 1e-6);
+        // From period 20 on, phase 19's threshold 2^-20 - 1e-6 is negative
+        // and it would fire for every value: rejected.
+        for period in [20, 64, 100] {
+            assert!(matches!(
+                PhaseCoding::with_period(period),
+                Err(SnnError::InvalidConfig(_))
+            ));
+        }
     }
 
     #[test]

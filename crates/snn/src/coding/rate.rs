@@ -5,12 +5,6 @@ use nrsnn_tensor::simd::{active_backend, encode_quant_with, quantize_value, scal
 use crate::coding::CodingScratch;
 use crate::{CodingConfig, CodingKind, NeuralCoding, SpikeRaster};
 
-/// Largest `time_steps` the lane-blocked encode handles: the truncating
-/// lane conversion is exact only while every intermediate stays in the
-/// f32-exact integer range `[0, 2^24]`.  Windows beyond that (far past
-/// anything the paper sweeps) take the per-value path.
-const MAX_LANE_STEPS: u32 = 1 << 24;
-
 /// Largest window for which the block encode precomputes all `T+1`
 /// canonical trains (one per possible spike count) and materialises each
 /// neuron's train as a single `extend_from_slice`.  The table holds
@@ -86,13 +80,8 @@ impl NeuralCoding for RateCoding {
 
     fn encode(&self, activation: f32, cfg: &CodingConfig) -> Vec<u32> {
         let mut out = Vec::new();
-        self.encode_into(activation, cfg, &mut out);
+        emit_evenly(spike_count(activation, cfg), cfg.time_steps, &mut out);
         out
-    }
-
-    fn encode_into(&self, activation: f32, cfg: &CodingConfig, out: &mut Vec<u32>) {
-        out.clear();
-        emit_evenly(spike_count(activation, cfg), cfg.time_steps, out);
     }
 
     fn encode_raster_into(
@@ -103,12 +92,6 @@ impl NeuralCoding for RateCoding {
         scratch: &mut CodingScratch,
     ) {
         let t = cfg.time_steps;
-        if t > MAX_LANE_STEPS {
-            raster.fill_trains(values.len(), t, |i, train| {
-                self.encode_into(values[i], cfg, train);
-            });
-            return;
-        }
         scratch.lanes.clear();
         scratch.lanes.resize(values.len(), 0.0);
         encode_quant_with(
@@ -132,14 +115,14 @@ impl NeuralCoding for RateCoding {
             }
             let counts = &scratch.lanes;
             let (table, offsets) = (&scratch.train_table, &scratch.train_offsets);
-            raster.fill_trains_trusted(values.len(), t, |i, train| {
+            raster.fill_trains(values.len(), t, |i, train| {
                 let n = (counts[i] as u32).min(t) as usize;
                 train.extend_from_slice(&table[offsets[n] as usize..offsets[n + 1] as usize]);
             });
             return;
         }
         let counts = &scratch.lanes;
-        raster.fill_trains_trusted(values.len(), t, |i, train| {
+        raster.fill_trains(values.len(), t, |i, train| {
             emit_evenly((counts[i] as u32).min(t), t, train);
         });
     }
@@ -152,11 +135,13 @@ impl NeuralCoding for RateCoding {
         &self,
         raster: &SpikeRaster,
         cfg: &CodingConfig,
-        out: &mut Vec<f32>,
-        _scratch: &mut Vec<f32>,
+        out: &mut [f32],
+        _scratch: &mut CodingScratch,
     ) {
-        out.clear();
-        out.extend(raster.iter().map(|(_, train)| train.len() as f32));
+        assert_eq!(out.len(), raster.num_neurons(), "one slot per neuron");
+        for (slot, (_, train)) in out.iter_mut().zip(raster.iter()) {
+            *slot = train.len() as f32;
+        }
         scale_ratio_with(active_backend(), out, cfg.threshold, cfg.time_steps as f32);
     }
 }

@@ -1,6 +1,11 @@
 //! Time-to-average-spike (TTAS) coding — the paper's proposed coding.
 
+use std::ops::Range;
+
+use nrsnn_tensor::simd::{active_backend, encode_ratio_with, sum8_by, sum_gather_with};
+
 use crate::coding::ttfs::TtfsCoding;
+use crate::coding::CodingScratch;
 use crate::{CodingConfig, CodingKind, IfbNeuron, NeuralCoding, Result, SnnError, SpikeRaster};
 
 /// TTAS coding: the value is carried by a *phasic burst* of `t_a` spikes
@@ -63,12 +68,24 @@ impl TtasCoding {
     }
 
     /// The TTAS scale factor `C_A = 1 / Σ_{k<t_a} exp(−k/τ)` (Eq. 5).
+    ///
+    /// The terms only shrink with `k`, so once one underflows to `+0.0`
+    /// every later one does too: the sum stops there, with the same bits,
+    /// after at most about `104·τ` terms whatever `t_a` is.
     pub fn scale_factor(&self, cfg: &CodingConfig) -> f32 {
         let tau = cfg.ttfs_tau();
         let sum: f32 = (0..self.burst_duration)
             .map(|k| (-(k as f32) / tau).exp())
+            .take_while(|&term| term > 0.0)
             .sum();
         1.0 / sum
+    }
+
+    /// The burst that starts at the first-spike time `t1`: `t_a`
+    /// consecutive steps, cut at the window's end.  Saturating, so a huge
+    /// `t_a` costs nothing extra and cannot wrap past `u32::MAX`.
+    fn burst(&self, t1: u32, cfg: &CodingConfig) -> Range<u32> {
+        t1..t1.saturating_add(self.burst_duration).min(cfg.time_steps)
     }
 
     /// Encodes by explicitly driving the simplified IFB neuron of Eq. 4 with
@@ -103,21 +120,10 @@ impl NeuralCoding for TtasCoding {
     }
 
     fn encode(&self, activation: f32, cfg: &CodingConfig) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.encode_into(activation, cfg, &mut out);
-        out
-    }
-
-    fn encode_into(&self, activation: f32, cfg: &CodingConfig, out: &mut Vec<u32>) {
-        out.clear();
-        let Some(t1) = TtfsCoding::spike_time(activation, cfg) else {
-            return;
-        };
-        out.extend(
-            (0..self.burst_duration)
-                .map(|k| t1 + k)
-                .filter(|&t| t < cfg.time_steps),
-        );
+        match TtfsCoding::spike_time(activation, cfg) {
+            Some(t1) => self.burst(t1, cfg).collect(),
+            None => Vec::new(),
+        }
     }
 
     fn encode_raster_into(
@@ -125,24 +131,15 @@ impl NeuralCoding for TtasCoding {
         values: &[f32],
         cfg: &CodingConfig,
         raster: &mut SpikeRaster,
-        scratch: &mut crate::coding::CodingScratch,
+        scratch: &mut CodingScratch,
     ) {
         scratch.lanes.clear();
         scratch.lanes.resize(values.len(), 0.0);
-        nrsnn_tensor::simd::encode_ratio_with(
-            nrsnn_tensor::simd::active_backend(),
-            values,
-            cfg.threshold,
-            &mut scratch.lanes,
-        );
+        encode_ratio_with(active_backend(), values, cfg.threshold, &mut scratch.lanes);
         let ratios = &scratch.lanes;
-        raster.fill_trains_trusted(values.len(), cfg.time_steps, |i, train| {
+        raster.fill_trains(values.len(), cfg.time_steps, |i, train| {
             if let Some(t1) = TtfsCoding::spike_time_of_ratio(ratios[i], cfg) {
-                train.extend(
-                    (0..self.burst_duration)
-                        .map(|k| t1 + k)
-                        .filter(|&t| t < cfg.time_steps),
-                );
+                train.extend(self.burst(t1, cfg));
             }
         });
     }
@@ -154,7 +151,7 @@ impl NeuralCoding for TtasCoding {
         // Canonical lane-blocked reduction (`sum8_by`) so this per-train
         // path stays bit-identical to the SIMD-gathered tabulated path in
         // `decode_into`, whichever backend runs it.
-        let sum = nrsnn_tensor::simd::sum8_by(train.len(), |i| TtfsCoding::value_at(train[i], cfg));
+        let sum = sum8_by(train.len(), |i| TtfsCoding::value_at(train[i], cfg));
         (self.scale_factor(cfg) * sum).min(cfg.threshold)
     }
 
@@ -162,10 +159,10 @@ impl NeuralCoding for TtasCoding {
         &self,
         raster: &SpikeRaster,
         cfg: &CodingConfig,
-        out: &mut Vec<f32>,
-        scratch: &mut Vec<f32>,
+        out: &mut [f32],
+        scratch: &mut CodingScratch,
     ) {
-        out.clear();
+        assert_eq!(out.len(), raster.num_neurons(), "one slot per neuron");
         // Hoist the burst rescaling constant C_A out of the per-train loop:
         // it is a pure function of the configuration (t_a exponentials), so
         // computing it once per raster instead of once per train yields the
@@ -173,30 +170,30 @@ impl NeuralCoding for TtasCoding {
         let scale = self.scale_factor(cfg);
         // When the raster carries more spikes than the window has steps,
         // tabulating the PSC kernel `value_at(t) = θ·exp(−t/τ)` once (T
-        // exps into the reusable scratch) beats one exp per spike; each
-        // table entry is computed by exactly the same expression as
-        // `value_at`, so lookups are bit-identical to direct evaluation,
-        // and the SIMD-gathered table sum (`sum_gather_with`) reduces in
-        // the same canonical lane-blocked order as the `sum8_by` used by
-        // the direct path and `decode` — so all paths agree bitwise on
-        // every backend.
+        // exps into the reusable scratch) beats one exp per spike; table
+        // lookups are bit-identical to direct evaluation, and the
+        // SIMD-gathered table sum (`sum_gather_with`) reduces in the same
+        // canonical lane-blocked order as the `sum8_by` used by the direct
+        // path and `decode` — so all paths agree bitwise on every backend.
         let tabulate = raster.total_spikes() > raster.num_steps() as usize;
         if tabulate {
-            scratch.clear();
-            scratch.extend((0..raster.num_steps()).map(|t| TtfsCoding::value_at(t, cfg)));
+            scratch.kernel.clear();
+            scratch
+                .kernel
+                .extend((0..raster.num_steps()).map(|t| TtfsCoding::value_at(t, cfg)));
         }
-        let backend = nrsnn_tensor::simd::active_backend();
-        for (_, train) in raster.iter() {
+        let backend = active_backend();
+        for (slot, (_, train)) in out.iter_mut().zip(raster.iter()) {
             if train.is_empty() {
-                out.push(0.0);
+                *slot = 0.0;
                 continue;
             }
             let sum: f32 = if tabulate {
-                nrsnn_tensor::simd::sum_gather_with(backend, scratch, train)
+                sum_gather_with(backend, &scratch.kernel, train)
             } else {
-                nrsnn_tensor::simd::sum8_by(train.len(), |i| TtfsCoding::value_at(train[i], cfg))
+                sum8_by(train.len(), |i| TtfsCoding::value_at(train[i], cfg))
             };
-            out.push((scale * sum).min(cfg.threshold));
+            *slot = (scale * sum).min(cfg.threshold);
         }
     }
 }
@@ -331,8 +328,9 @@ mod tests {
         let raster = SpikeRaster::from_trains(trains, cfg.time_steps);
         assert!(raster.total_spikes() > raster.num_steps() as usize);
 
-        let mut out = Vec::new();
-        let mut scratch = vec![7.0f32; 2]; // dirty: must be rebuilt
+        let mut out = vec![0.0f32; raster.num_neurons()];
+        let mut scratch = CodingScratch::new();
+        scratch.kernel = vec![7.0f32; 2]; // dirty: must be rebuilt
         coding.decode_into(&raster, &cfg, &mut out, &mut scratch);
         let reference: Vec<u32> = (0..raster.num_neurons())
             .map(|n| coding.decode(raster.train(n), &cfg).to_bits())
@@ -343,10 +341,33 @@ mod tests {
         );
         // A small raster takes the direct path and must agree too.
         let small = SpikeRaster::from_trains(vec![coding.encode(0.7, &cfg)], cfg.time_steps);
-        coding.decode_into(&small, &cfg, &mut out, &mut scratch);
+        coding.decode_into(&small, &cfg, &mut out[..1], &mut scratch);
         assert_eq!(
             out[0].to_bits(),
             coding.decode(small.train(0), &cfg).to_bits()
+        );
+    }
+
+    /// A burst longer than the window is cut at the window's end, so
+    /// `t_a = u32::MAX` encodes exactly what `t_a = T` does — through both
+    /// encoders, in order, without counting to `u32::MAX` or wrapping past
+    /// it — and its C_A stops summing once the terms underflow.
+    #[test]
+    fn huge_burst_duration_encodes_like_a_full_window_burst() {
+        let cfg = CodingConfig::new(64, 1.0);
+        let huge = TtasCoding::new(u32::MAX).unwrap();
+        let window = TtasCoding::new(cfg.time_steps).unwrap();
+        let values = [0.0f32, 0.05, 0.3, 0.5, 1.0, 2.0];
+        let mut raster = SpikeRaster::new(0, 1);
+        huge.encode_raster_into(&values, &cfg, &mut raster, &mut CodingScratch::new());
+        for (n, &v) in values.iter().enumerate() {
+            let expected = window.encode(v, &cfg);
+            assert_eq!(huge.encode(v, &cfg), expected, "encode, value {v}");
+            assert_eq!(raster.train(n), expected, "encode_raster_into, value {v}");
+        }
+        assert_eq!(
+            huge.scale_factor(&cfg).to_bits(),
+            TtasCoding::new(4096).unwrap().scale_factor(&cfg).to_bits()
         );
     }
 

@@ -70,16 +70,9 @@ impl NeuralCoding for TtfsCoding {
     }
 
     fn encode(&self, activation: f32, cfg: &CodingConfig) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.encode_into(activation, cfg, &mut out);
-        out
-    }
-
-    fn encode_into(&self, activation: f32, cfg: &CodingConfig, out: &mut Vec<u32>) {
-        out.clear();
-        if let Some(t) = TtfsCoding::spike_time(activation, cfg) {
-            out.push(t);
-        }
+        TtfsCoding::spike_time(activation, cfg)
+            .into_iter()
+            .collect()
     }
 
     fn encode_raster_into(
@@ -93,7 +86,7 @@ impl NeuralCoding for TtfsCoding {
         scratch.lanes.resize(values.len(), 0.0);
         encode_ratio_with(active_backend(), values, cfg.threshold, &mut scratch.lanes);
         let ratios = &scratch.lanes;
-        raster.fill_trains_trusted(values.len(), cfg.time_steps, |i, train| {
+        raster.fill_trains(values.len(), cfg.time_steps, |i, train| {
             if let Some(t) = TtfsCoding::spike_time_of_ratio(ratios[i], cfg) {
                 train.push(t);
             }
@@ -112,24 +105,28 @@ impl NeuralCoding for TtfsCoding {
         &self,
         raster: &SpikeRaster,
         cfg: &CodingConfig,
-        out: &mut Vec<f32>,
-        scratch: &mut Vec<f32>,
+        out: &mut [f32],
+        scratch: &mut CodingScratch,
     ) {
-        out.clear();
+        assert_eq!(out.len(), raster.num_neurons(), "one slot per neuron");
         // With more active trains than time steps it is cheaper to tabulate
         // `value_at` once per step than to exp once per train; below that
         // the per-train evaluation wins.  Both read the same expression, so
         // the choice is invisible in the output bits.
         let tabulate = raster.total_spikes() > raster.num_steps() as usize;
         if tabulate {
-            scratch.clear();
-            scratch.extend((0..raster.num_steps()).map(|t| TtfsCoding::value_at(t, cfg)));
+            scratch.kernel.clear();
+            scratch
+                .kernel
+                .extend((0..raster.num_steps()).map(|t| TtfsCoding::value_at(t, cfg)));
         }
-        out.extend(raster.iter().map(|(_, train)| match train.first() {
-            Some(&t) if tabulate => scratch[t as usize],
-            Some(&t) => TtfsCoding::value_at(t, cfg),
-            None => 0.0,
-        }));
+        for (slot, (_, train)) in out.iter_mut().zip(raster.iter()) {
+            *slot = match train.first() {
+                Some(&t) if tabulate => scratch.kernel[t as usize],
+                Some(&t) => TtfsCoding::value_at(t, cfg),
+                None => 0.0,
+            };
+        }
     }
 }
 

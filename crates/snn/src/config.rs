@@ -4,6 +4,12 @@ use serde::{Deserialize, Serialize};
 
 use crate::{Result, SnnError};
 
+/// Largest spike count the lane-blocked quantisers count exactly: the
+/// truncating lane conversion is exact only while every intermediate stays
+/// in the f32-exact integer range `[0, 2^24]`.  It caps both the window
+/// (rate coding counts up to `T` spikes) and the burst length.
+pub(crate) const MAX_EXACT_COUNT: u32 = 1 << 24;
+
 /// Parameters shared by all neural codings.
 ///
 /// * `time_steps` — length `T` of the per-layer time window;
@@ -47,14 +53,16 @@ impl CodingConfig {
     /// to zero.
     ///
     /// # Errors
-    /// Returns [`SnnError::InvalidConfig`] for a zero window or a
-    /// threshold or τ fraction that is not finite and positive (NaN
-    /// included).
+    /// Returns [`SnnError::InvalidConfig`] for a zero window, a window
+    /// longer than `2^24` steps (the lane quantisers count spikes exactly
+    /// only up to `2^24`), or a threshold or τ fraction that is not finite
+    /// and positive (NaN included).
     pub fn validate(&self) -> Result<()> {
-        if self.time_steps == 0 {
-            return Err(SnnError::InvalidConfig(
-                "time_steps must be non-zero".to_string(),
-            ));
+        if self.time_steps == 0 || self.time_steps > MAX_EXACT_COUNT {
+            return Err(SnnError::InvalidConfig(format!(
+                "time_steps must be in 1..=2^24, got {}",
+                self.time_steps
+            )));
         }
         let finite_positive = |v: f32| v.is_finite() && v > 0.0;
         if !finite_positive(self.threshold) {
@@ -110,6 +118,15 @@ mod tests {
             c.ttfs_tau_fraction = tau;
             assert!(c.validate().is_err(), "tau fraction {tau}");
         }
+    }
+
+    #[test]
+    fn windows_are_capped_at_two_to_the_24() {
+        assert!(CodingConfig::new(1 << 24, 1.0).validate().is_ok());
+        assert!(matches!(
+            CodingConfig::new((1 << 24) + 1, 1.0).validate(),
+            Err(SnnError::InvalidConfig(_))
+        ));
     }
 
     #[test]

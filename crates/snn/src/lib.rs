@@ -61,6 +61,7 @@ pub use conversion::{convert, ConversionConfig, ThresholdBalancer};
 pub use error::SnnError;
 pub use network::{
     EvaluationSummary, IdentityTransform, SimulationOutcome, SnnLayer, SnnNetwork, SpikeTransform,
+    TILE,
 };
 pub use neuron::IfbNeuron;
 pub use spike::SpikeRaster;

@@ -47,8 +47,8 @@ use rand::RngCore;
 
 use crate::workspace::{argmax, ConvScratch};
 use crate::{
-    BatchOutcome, CodingConfig, CodingScratch, NeuralCoding, Result, SimStage, SimWorkspace,
-    SnnError, SpikeRaster, StageEvent,
+    BatchOutcome, CodingConfig, NeuralCoding, Result, SimStage, SimWorkspace, SnnError,
+    SpikeRaster, StageEvent,
 };
 
 /// One layer of a converted spiking network.
@@ -327,10 +327,10 @@ pub struct SimulationOutcome {
 }
 
 /// Most samples one simulation tile advances layer by layer.  A tile of 8
-/// reads each dense weight once per 8 samples, fills the tiled mat-vec's
-/// register blocks, and equals the sweep engine's default chunk
-/// (`nrsnn_runtime::DEFAULT_BATCH_SIZE`), so every sweep chunk is one tile.
-pub(crate) const TILE: usize = 8;
+/// reads each dense weight once per 8 samples and fills the tiled
+/// mat-vec's register blocks.  The sweep engine in `nrsnn` chunks every
+/// grid point by this constant, so each sweep chunk is one tile.
+pub const TILE: usize = 8;
 
 /// A converted spiking network: a chain of [`SnnLayer`]s simulated layer by
 /// layer under a chosen neural coding.
@@ -731,7 +731,8 @@ impl SnnNetwork {
         for (index, layer) in self.layers.iter().enumerate() {
             let width = layer.input_width();
             let mut density = 0.0f32;
-            ws.tile_decoded.clear();
+            // Every row is overwritten by its sample's decode below.
+            ws.tile_decoded.resize(samples * width, 0.0);
             for (s, rng) in rngs.iter_mut().flatten().enumerate() {
                 // Encode the sample's input to this layer: the input pixels
                 // (in [0, 1]; the coding clamps to its ceiling), or the
@@ -745,13 +746,7 @@ impl SnnNetwork {
                     }
                     row
                 };
-                encode_vector_into(
-                    values,
-                    coding,
-                    cfg,
-                    &mut ws.rasters[index],
-                    &mut ws.encode_scratch,
-                );
+                coding.encode_raster_into(values, cfg, &mut ws.rasters[index], &mut ws.coding);
                 stage_mark(
                     &mut ws.stage_events,
                     &mut mark,
@@ -779,9 +774,10 @@ impl SnnNetwork {
                     density += received.density();
                 }
                 // Integrate the received trains through the coding's PSC
-                // kernel into the sample's row of the decoded matrix.
-                coding.decode_into(received, cfg, &mut ws.decoded, &mut ws.decode_scratch);
-                ws.tile_decoded.extend_from_slice(&ws.decoded);
+                // kernel straight into the sample's row of the decoded
+                // matrix.
+                let row = &mut ws.tile_decoded[s * width..(s + 1) * width];
+                coding.decode_into(received, cfg, row, &mut ws.coding);
                 stage_mark(
                     &mut ws.stage_events,
                     &mut mark,
@@ -877,22 +873,11 @@ impl EvaluationSummary {
     }
 }
 
+/// The reference encode of [`SnnNetwork::simulate_unbuffered`]: one
+/// per-value [`NeuralCoding::encode`] per neuron.
 fn encode_vector(values: &[f32], coding: &dyn NeuralCoding, cfg: &CodingConfig) -> SpikeRaster {
     let trains = values.iter().map(|&v| coding.encode(v, cfg)).collect();
     SpikeRaster::from_trains(trains, cfg.time_steps)
-}
-
-/// Allocation-free sibling of [`encode_vector`]: refills `raster` in place
-/// through the coding's lane-blocked block path (8 neurons per SIMD block,
-/// SoA intermediates in `scratch`), producing the identical raster.
-fn encode_vector_into(
-    values: &[f32],
-    coding: &dyn NeuralCoding,
-    cfg: &CodingConfig,
-    raster: &mut SpikeRaster,
-    scratch: &mut CodingScratch,
-) {
-    coding.encode_raster_into(values, cfg, raster, scratch);
 }
 
 /// Closes the current tracing interval at `Instant::now()`, pushing one

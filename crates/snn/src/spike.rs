@@ -6,14 +6,14 @@ use serde::{Deserialize, Serialize};
 ///
 /// Spikes are **binary** events: a neuron either fires at a time step or it
 /// does not, so a train is the sorted list of *distinct* time steps at which
-/// the neuron fired.  Every mutation path normalises its trains (clamp to
-/// the window, sort, merge duplicates), which keeps train-based spike
-/// counts, decoded values and any dense 0/1 view of the raster consistent —
-/// e.g. two jittered spikes that collide on one step after clamping merge
-/// into a single spike instead of double-counting.  All value information is
-/// carried by *when* the spikes occur (and how many there are), which is
-/// what makes the different neural codings differ in their robustness to
-/// spike deletion and jitter.
+/// the neuron fired.  Every public mutation path normalises its trains
+/// (clamp to the window, sort, merge duplicates), which keeps train-based
+/// spike counts, decoded values and any dense 0/1 view of the raster
+/// consistent — e.g. two jittered spikes that collide on one step after
+/// clamping merge into a single spike instead of double-counting.  All
+/// value information is carried by *when* the spikes occur (and how many
+/// there are), which is what makes the different neural codings differ in
+/// their robustness to spike deletion and jitter.
 ///
 /// A neuron with a non-empty train is *active*; the active set (see
 /// [`SpikeRaster::num_active_trains`] / [`SpikeRaster::density`]) sizes the
@@ -137,29 +137,12 @@ impl SpikeRaster {
     /// existing per-train buffers.
     ///
     /// `f` receives `(neuron, train_buffer)` with the buffer already
-    /// cleared; after `f` returns the train is clamped and sorted exactly
-    /// like [`SpikeRaster::set_train`], so the result is identical to
-    /// [`SpikeRaster::from_trains`] over the same trains.
-    pub fn fill_trains<F>(&mut self, num_neurons: usize, num_steps: u32, mut f: F)
-    where
-        F: FnMut(usize, &mut Vec<u32>),
-    {
-        self.num_steps = num_steps;
-        self.trains.resize_with(num_neurons, Vec::new);
-        for (i, train) in self.trains.iter_mut().enumerate() {
-            train.clear();
-            f(i, train);
-            normalize_train(train, num_steps);
-        }
-    }
-
-    /// [`SpikeRaster::fill_trains`] minus the per-train normalisation scan:
-    /// `f` **must** emit strictly increasing times below `num_steps`
-    /// (debug-asserted), which every lane-blocked encoder guarantees by
-    /// construction.  Skipping the scan matters because the encode tail is
-    /// pure train materialisation — re-validating what was just emitted in
-    /// order would cost a second pass over every spike.
-    pub(crate) fn fill_trains_trusted<F>(&mut self, num_neurons: usize, num_steps: u32, mut f: F)
+    /// cleared and **must** emit strictly increasing times below
+    /// `num_steps` (debug-asserted), which every block encoder guarantees
+    /// by construction.  Trains are not re-normalised: the encode tail is
+    /// pure train materialisation, and re-validating what was just emitted
+    /// in order would cost a second pass over every spike.
+    pub(crate) fn fill_trains<F>(&mut self, num_neurons: usize, num_steps: u32, mut f: F)
     where
         F: FnMut(usize, &mut Vec<u32>),
     {
@@ -171,7 +154,7 @@ impl SpikeRaster {
             debug_assert!(
                 !train.last().is_some_and(|&last| last >= num_steps)
                     && train.windows(2).all(|w| w[0] < w[1]),
-                "fill_trains_trusted: neuron {i} emitted a non-canonical train"
+                "fill_trains: neuron {i} emitted a non-canonical train"
             );
         }
     }
@@ -193,8 +176,8 @@ impl SpikeRaster {
 }
 
 /// Clamps every time to the window, sorts, and merges duplicate times — the
-/// shared normalisation of [`SpikeRaster::set_train`],
-/// [`SpikeRaster::fill_trains`] and [`SpikeRaster::update_trains`].
+/// shared normalisation of [`SpikeRaster::set_train`] and
+/// [`SpikeRaster::update_trains`].
 ///
 /// The dedup step *enforces* the raster's binary-spike semantics: clamping
 /// (or jitter) can land two spikes on the same step, and keeping both would
@@ -279,15 +262,17 @@ mod tests {
 
     #[test]
     fn fill_trains_matches_from_trains_and_reuses_buffers() {
-        let trains = vec![vec![5u32, 1, 30], vec![], vec![2]];
+        let trains = vec![vec![1u32, 5, 15], vec![], vec![2]];
         let reference = SpikeRaster::from_trains(trains.clone(), 16);
         let mut r = SpikeRaster::from_trains(vec![vec![1, 2, 3, 4]], 4);
         r.fill_trains(3, 16, |i, out| out.extend_from_slice(&trains[i]));
         assert_eq!(r, reference);
-        // Refilling with fewer spikes keeps the raster consistent.
+        // Refilling fewer neurons with fewer spikes keeps the raster
+        // consistent: the surplus trains go, stale spikes do not survive.
         r.fill_trains(2, 16, |_, out| out.push(1));
         assert_eq!(r.num_neurons(), 2);
         assert_eq!(r.total_spikes(), 2);
+        assert_eq!(r.train(0), &[1]);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Reusable simulation scratch: the [`SimWorkspace`] threaded through the
 //! batched inference engine.
 //!
-//! The engine advances a *tile* of up to 8 samples one layer at a time:
-//! each sample of the tile is encoded, corrupted and decoded in turn into
-//! one row of a per-tile decoded matrix, then the layer's analog forward
-//! runs once for the whole tile into a per-tile activation matrix.  That
-//! needs per layer one spike raster, which the noise model corrupts in
-//! place (shared by the tile's samples, which pass through one after
-//! another), a per-sample decoded vector, the two per-tile matrices,
+//! The engine advances a *tile* of up to [`crate::TILE`] samples one layer
+//! at a time: each sample of the tile is encoded, corrupted and decoded in
+//! turn straight into its row of a per-tile decoded matrix, then the
+//! layer's analog forward runs once for the whole tile into a per-tile
+//! activation matrix.  That needs per layer one spike raster, which the
+//! noise model corrupts in place (shared by the tile's samples, which pass
+//! through one after another), one coding scratch that serves both the
+//! block encode and the block decode, the two per-tile matrices,
 //! per-sample spike counts and — for convolution layers — an `im2col`
 //! patch matrix, a transposed kernel bank and their product.  The original
 //! `SnnNetwork::simulate` allocated such buffers afresh on every call, which
@@ -57,8 +58,7 @@
 // onto the obs epoch at ingest.
 use std::time::Instant;
 
-use crate::network::TILE;
-use crate::{CodingConfig, CodingScratch, SnnLayer, SnnNetwork, SpikeRaster};
+use crate::{CodingConfig, CodingScratch, SnnLayer, SnnNetwork, SpikeRaster, TILE};
 
 /// The simulation phase a [`StageEvent`] attributes time to. This is the
 /// engine's own vocabulary — deliberately independent of any observability
@@ -140,20 +140,17 @@ pub struct SimWorkspace {
     /// point after warm-up: a `Vec<Vec<u32>>` that shrank would drop its
     /// tail buffers and have to reallocate them on the next sample.
     pub(crate) rasters: Vec<SpikeRaster>,
-    /// PSC-decoded activations of the sample being decoded.
-    pub(crate) decoded: Vec<f32>,
     /// The tile's decoded matrix: row `s` holds sample `s`'s decoded
-    /// input to the current layer (`tile_len × input width`).
+    /// input to the current layer (`tile_len × input width`), written by
+    /// [`crate::NeuralCoding::decode_into`] in place.
     pub(crate) tile_decoded: Vec<f32>,
-    /// Reusable decode scratch handed to
-    /// [`crate::NeuralCoding::decode_into`] (e.g. TTAS tabulates its PSC
-    /// kernel in here once per raster instead of exp-ing per spike).
-    pub(crate) decode_scratch: Vec<f32>,
-    /// Reusable SoA scratch handed to
-    /// [`crate::NeuralCoding::encode_raster_into`]: the lane-blocked
+    /// Reusable coding scratch handed to both
+    /// [`crate::NeuralCoding::encode_raster_into`] (the lane-blocked
     /// encoders compute per-neuron counts/ratios/bit patterns in here 8
-    /// lanes at a time before materialising the spike trains.
-    pub(crate) encode_scratch: CodingScratch,
+    /// lanes at a time before materialising the spike trains) and
+    /// [`crate::NeuralCoding::decode_into`] (TTFS and TTAS tabulate their
+    /// PSC kernel in here once per raster instead of exp-ing per spike).
+    pub(crate) coding: CodingScratch,
     /// The tile's activation matrix: row `s` holds sample `s`'s output of
     /// the current layer (`tile_len × output width`); after a tile it
     /// holds the logits of every sample.
@@ -202,12 +199,11 @@ impl SimWorkspace {
                 ws.conv.prod.reserve(positions * out_ch);
             }
         }
-        ws.decoded.reserve(max_width);
         ws.tile_decoded.reserve(TILE * max_width);
         ws.activation.reserve(TILE * max_width);
-        ws.decode_scratch.reserve(cfg.time_steps as usize);
-        ws.encode_scratch.lanes.reserve(max_width);
-        ws.encode_scratch.bits.reserve(max_width);
+        ws.coding.kernel.reserve(cfg.time_steps as usize);
+        ws.coding.lanes.reserve(max_width);
+        ws.coding.bits.reserve(max_width);
         ws.spikes_per_layer.reserve(TILE * network.num_layers());
         // One raster per layer, sized for that layer's input width; the
         // per-train spike buffers still grow lazily on the first sample.

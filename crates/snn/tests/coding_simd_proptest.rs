@@ -4,7 +4,7 @@
 //! The block encoders ([`NeuralCoding::encode_raster_into`]) compute spike
 //! counts, phase bit patterns and first-spike ratios 8 neurons at a time;
 //! these tests pin them train-for-train against the per-value
-//! `encode_into` path over adversarial widths (0, 1, lane−1, lane, lane+1,
+//! [`NeuralCoding::encode`] over adversarial widths (0, 1, lane−1, lane, lane+1,
 //! non-multiples of 8) and adversarial activations (signed zeros,
 //! subnormals, NaN, infinities, exact `0.0`/`1.0`, values a few ULP around
 //! the clipping threshold).  The decode half pins block `decode_into`
@@ -115,16 +115,11 @@ fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Per-value reference raster: the `encode_into` path, which goes through
-/// the same scalar helpers on every backend (it never dispatches).
+/// Per-value reference raster: the `encode` path, which goes through the
+/// same scalar helpers on every backend (it never dispatches).
 fn reference_raster(coding: &dyn NeuralCoding, values: &[f32], cfg: &CodingConfig) -> SpikeRaster {
-    let mut raster = SpikeRaster::new(values.len(), cfg.time_steps);
-    let mut train = Vec::new();
-    for (i, &v) in values.iter().enumerate() {
-        coding.encode_into(v, cfg, &mut train);
-        raster.set_train(i, train.clone());
-    }
-    raster
+    let trains = values.iter().map(|&v| coding.encode(v, cfg)).collect();
+    SpikeRaster::from_trains(trains, cfg.time_steps)
 }
 
 /// Block encode on every ISA must reproduce the per-value path train for
@@ -196,16 +191,14 @@ fn block_decode_every_isa_matches_per_train_decode() {
     let previous = set_backend(SimdBackend::Scalar);
     let all = codings();
     let isas = available_backends();
-    let mut decoded = Vec::new();
-    let mut scratch = Vec::new();
-    let mut encode_scratch = CodingScratch::new();
+    let mut scratch = CodingScratch::new();
     for case in 0..CASES {
         let cfg = draw_cfg(&mut rng);
         let width = WIDTHS[rng.gen_range(0..WIDTHS.len())];
         let values = draw_values(&mut rng, width, cfg.threshold);
         for coding in &all {
             let mut raster = SpikeRaster::new(0, 1);
-            coding.encode_raster_into(&values, &cfg, &mut raster, &mut encode_scratch);
+            coding.encode_raster_into(&values, &cfg, &mut raster, &mut scratch);
             let raster = if case % 2 == 0 {
                 perturb(&raster, &mut rng)
             } else {
@@ -217,6 +210,7 @@ fn block_decode_every_isa_matches_per_train_decode() {
             for &isa in &isas {
                 set_backend(isa);
                 let context = format!("{isa:?} {} T={}", coding.name(), cfg.time_steps);
+                let mut decoded = vec![f32::NAN; width]; // dirty: must be overwritten
                 coding.decode_into(&raster, &cfg, &mut decoded, &mut scratch);
                 assert_eq!(bits(&decoded), bits(&reference), "{context}: decode_into");
             }
@@ -231,8 +225,7 @@ fn block_decode_every_isa_matches_per_train_decode() {
 fn empty_trains_decode_to_positive_zero_on_every_isa() {
     let _guard = backend_guard();
     let previous = set_backend(SimdBackend::Scalar);
-    let mut decoded = Vec::new();
-    let mut scratch = Vec::new();
+    let mut scratch = CodingScratch::new();
     for coding in &codings() {
         for &t in TIME_STEPS {
             let cfg = CodingConfig::new(t, 1.0);
@@ -246,6 +239,7 @@ fn empty_trains_decode_to_positive_zero_on_every_isa() {
                     0,
                     "{context}: decode(&[])"
                 );
+                let mut decoded = [f32::NAN; 9]; // dirty: must be overwritten
                 coding.decode_into(&raster, &cfg, &mut decoded, &mut scratch);
                 assert!(
                     decoded.iter().all(|v| v.to_bits() == 0),

@@ -97,9 +97,15 @@ fn science_digest_matches_the_committed_golden() {
             path.display()
         )
     });
-    assert_eq!(
-        expected, actual,
-        "the science moved: accuracy or spike counts differ from the committed digest \
-         (see the re-bless procedure in tests/science_digest.rs)"
+    let moved: Vec<String> = expected
+        .lines()
+        .zip(actual.lines())
+        .filter(|(committed, now)| committed != now)
+        .map(|(committed, now)| format!("  committed: {committed}\n  now:       {now}"))
+        .collect();
+    assert!(
+        expected == actual,
+        "the science moved (see the re-bless procedure in tests/science_digest.rs):\n{}",
+        moved.join("\n")
     );
 }

@@ -684,7 +684,7 @@ fn scalar_and_simd_backends_are_byte_identical_across_the_matrix() {
 /// Rebuilds a deletion sweep with a hand-rolled per-sample loop over the
 /// allocating reference simulator — exactly the seed engine's algorithm —
 /// and requires the production sweep to match it byte for byte at 1 and 4
-/// worker threads and for sample-level batching.
+/// worker threads.
 #[test]
 fn sweep_points_match_seed_per_sample_reference_at_1_and_4_threads() {
     let pipeline = tiny_pipeline();
@@ -749,7 +749,7 @@ fn sweep_points_match_seed_per_sample_reference_at_1_and_4_threads() {
             .then_with(|| a.weight_scaled.cmp(&b.weight_scaled))
     });
 
-    // --- production engine at several scheduling configurations --------
+    // --- production engine at 1 and 4 worker threads ------------------
     let run = |parallel: ParallelConfig| {
         DeletionSweep::new(&codings, &levels)
             .weight_scaling(true)
@@ -761,10 +761,6 @@ fn sweep_points_match_seed_per_sample_reference_at_1_and_4_threads() {
     for (label, parallel) in [
         ("1 thread", ParallelConfig::with_threads(1)),
         ("4 threads", ParallelConfig::with_threads(4)),
-        (
-            "4 threads, sample-sized chunks",
-            ParallelConfig::with_threads(4).with_batch_size(1),
-        ),
     ] {
         let points = run(parallel);
         assert_eq!(points.len(), reference.len(), "{label}: point count");
