@@ -65,10 +65,11 @@ impl RobustSnnBuilder {
         self
     }
 
-    /// Sets the simulation window length.
+    /// Sets the simulation window length.  Kept verbatim; a window outside
+    /// `1..=2^24` is rejected by [`RobustSnnBuilder::build`].
     #[must_use]
     pub fn time_steps(mut self, time_steps: u32) -> Self {
-        self.time_steps = time_steps.max(1);
+        self.time_steps = time_steps;
         self
     }
 
@@ -76,7 +77,8 @@ impl RobustSnnBuilder {
     ///
     /// # Errors
     /// Returns [`NrsnnError`] if the expected deletion probability is not in
-    /// `[0, 1)`, the burst duration is zero, or conversion fails.
+    /// `[0, 1)`, the burst duration is zero, the window is outside
+    /// `1..=2^24` time steps, or conversion fails.
     pub fn build(&self, pipeline: &TrainedPipeline) -> Result<RobustSnn> {
         if !(0.0..1.0).contains(&self.expected_deletion) {
             return Err(NrsnnError::InvalidConfig(format!(
@@ -85,16 +87,17 @@ impl RobustSnnBuilder {
             )));
         }
         let coding = TtasCoding::new(self.burst_duration)?;
+        let config = CodingConfig::new(
+            self.time_steps,
+            CodingKind::Ttas(self.burst_duration).default_threshold(),
+        );
+        config.validate()?;
         let scaling = if self.expected_deletion > 0.0 {
             WeightScaling::for_deletion_probability(self.expected_deletion)?
         } else {
             WeightScaling::none()
         };
         let network = pipeline.to_snn(&scaling)?;
-        let config = CodingConfig::new(
-            self.time_steps,
-            CodingKind::Ttas(self.burst_duration).default_threshold(),
-        );
         Ok(RobustSnn {
             network,
             coding,
@@ -244,6 +247,14 @@ mod tests {
             .expected_deletion(-0.5)
             .build(&pipeline)
             .is_err());
+        // Windows outside 1..=2^24: 0 used to be clamped to 1, and 2^24 + 1
+        // built and failed only at the first evaluation.
+        for time_steps in [0, (1 << 24) + 1] {
+            assert!(RobustSnnBuilder::new()
+                .time_steps(time_steps)
+                .build(&pipeline)
+                .is_err());
+        }
     }
 
     #[test]

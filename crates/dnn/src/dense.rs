@@ -105,12 +105,6 @@ impl Layer for Dense {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let mut out = Tensor::default();
-        self.forward_into(input, mode, &mut out)?;
-        Ok(out)
-    }
-
-    fn forward_into(&mut self, input: &Tensor, mode: Mode, out: &mut Tensor) -> Result<()> {
         if input.shape().rank() != 2 || input.dims()[1] != self.in_features {
             return Err(DnnError::InputWidthMismatch {
                 expected: self.in_features,
@@ -125,9 +119,8 @@ impl Layer for Dense {
         if mode == Mode::Train {
             self.cached_input = Some(input.clone());
         }
-        // Wᵀ into the layer scratch, x·Wᵀ into `out`'s reused buffer — the
-        // same kernels (hence the same values) as the allocating path, which
-        // used `matmul(input, &transpose(&self.weights)?)`.
+        // Wᵀ into the layer's reused scratch, then x·Wᵀ — the same kernels
+        // (hence the same values) as `matmul(input, &transpose(&self.weights)?)`.
         self.scratch_wt.clear();
         self.scratch_wt
             .resize(self.in_features * self.out_features, 0.0);
@@ -138,7 +131,8 @@ impl Layer for Dense {
             &mut self.scratch_wt,
         );
         let batch = input.dims()[0];
-        let data = out.reset_zeroed(&[batch, self.out_features]);
+        let mut out = Tensor::zeros(&[batch, self.out_features]);
+        let data = out.as_mut_slice();
         matmul_slices(
             input.as_slice(),
             batch,
@@ -153,7 +147,7 @@ impl Layer for Dense {
                 data[b * self.out_features + j] += bv;
             }
         }
-        Ok(())
+        Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -221,20 +215,6 @@ mod tests {
         let x = Tensor::from_vec(vec![2.0, 3.0], &[1, 2]).unwrap();
         let y = layer.forward(&x, Mode::Infer).unwrap();
         assert_eq!(y.as_slice(), &[2.0, 3.5, 4.0]);
-    }
-
-    #[test]
-    fn forward_into_matches_forward_and_reuses_buffer() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut layer = Dense::new(&mut rng, 4, 3).unwrap();
-        let x = Tensor::from_vec(vec![0.1, -0.2, 0.3, 0.4, 1.0, 0.0, -1.0, 2.0], &[2, 4]).unwrap();
-        let reference = layer.forward(&x, Mode::Infer).unwrap();
-        let mut out = Tensor::from_slice(&[9.0]); // wrong shape: must be reset
-        layer.forward_into(&x, Mode::Infer, &mut out).unwrap();
-        assert_eq!(out, reference);
-        // A second call must reuse the buffer and reproduce the result.
-        layer.forward_into(&x, Mode::Infer, &mut out).unwrap();
-        assert_eq!(out, reference);
     }
 
     #[test]

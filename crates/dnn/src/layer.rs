@@ -38,20 +38,6 @@ pub trait Layer: Send + Sync {
     /// Returns an error if the batch width does not match the layer.
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor>;
 
-    /// Into-buffer variant of [`Layer::forward`]: writes the output into
-    /// `out`, replacing its contents.
-    ///
-    /// The default delegates to `forward` (allocating a fresh output);
-    /// layers on the inference hot path (e.g. `Dense`) override it to reuse
-    /// `out`'s buffer.  Must produce the same values as `forward`.
-    ///
-    /// # Errors
-    /// Same as [`Layer::forward`].
-    fn forward_into(&mut self, input: &Tensor, mode: Mode, out: &mut Tensor) -> Result<()> {
-        *out = self.forward(input, mode)?;
-        Ok(())
-    }
-
     /// Back-propagates `grad_output` (gradient of the loss with respect to
     /// this layer's output) and returns the gradient with respect to the
     /// layer input. Parameter gradients are accumulated internally.

@@ -46,9 +46,6 @@ pub struct TrainReport {
 #[derive(Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
-    /// Reusable ping-pong buffer for [`Sequential::predict_into`], kept on
-    /// the network so repeated inference reuses it across calls.
-    scratch: Tensor,
 }
 
 impl std::fmt::Debug for Sequential {
@@ -124,30 +121,6 @@ impl Sequential {
     /// Propagates layer errors.
     pub fn predict(&mut self, input: &Tensor) -> Result<Tensor> {
         self.forward(input, Mode::Infer)
-    }
-
-    /// Into-buffer inference: writes the logits into `out`, ping-ponging the
-    /// activations through `out` and the network's persistent scratch tensor
-    /// so layers with an allocation-free [`Layer::forward_into`] (e.g.
-    /// `Dense`) reuse buffers throughout the stack **and across calls**.
-    /// Produces the same values as [`Sequential::predict`].
-    ///
-    /// # Errors
-    /// Propagates layer errors.
-    pub fn predict_into(&mut self, input: &Tensor, out: &mut Tensor) -> Result<()> {
-        // Destructured so `scratch` and the layer iteration borrow disjoint
-        // fields.
-        let Sequential { layers, scratch } = self;
-        let Some((first, rest)) = layers.split_first_mut() else {
-            *out = input.clone();
-            return Ok(());
-        };
-        first.forward_into(input, Mode::Infer, out)?;
-        for layer in rest {
-            std::mem::swap(out, scratch);
-            layer.forward_into(scratch, Mode::Infer, out)?;
-        }
-        Ok(())
     }
 
     /// Back-propagates a loss gradient through every layer.
@@ -368,21 +341,6 @@ mod tests {
         );
         // Loss should decrease substantially.
         assert!(report.epoch_losses[299] < report.epoch_losses[0] * 0.5);
-    }
-
-    #[test]
-    fn predict_into_matches_predict() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut net = build_mlp(&mut rng);
-        let (x, _) = xor_dataset();
-        let reference = net.predict(&x).unwrap();
-        let mut out = Tensor::from_slice(&[1.0, 2.0]); // wrong shape: must be reset
-        net.predict_into(&x, &mut out).unwrap();
-        assert_eq!(out, reference);
-        // Empty networks pass the input through, like forward().
-        let mut empty = Sequential::new();
-        empty.predict_into(&x, &mut out).unwrap();
-        assert_eq!(out, x);
     }
 
     #[test]

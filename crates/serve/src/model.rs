@@ -776,6 +776,24 @@ mod tests {
         let mut spec = toy_spec();
         spec.layers[0] = LayerSpec::Linear { out: 3, input: 2 };
         assert!(matches!(spec.build(), Err(ServeError::Model(_))));
+
+        // A conv whose C·K·K and C·H·W overflow usize: release builds
+        // wrapped both to 0, so an empty input reached im2col's unchecked
+        // loop.  Rejected directly and after an NRSM round trip.
+        let mut spec = toy_spec();
+        spec.layers = vec![LayerSpec::Conv {
+            out_channels: 1,
+            in_channels: 1 << 22,
+            in_height: 1 << 21,
+            in_width: 1 << 21,
+            kernel: 1 << 21,
+            stride: 1,
+            padding: 0,
+        }];
+        spec.weights.params = vec![Tensor::zeros(&[1, 0]), Tensor::zeros(&[1])];
+        assert!(matches!(spec.build(), Err(ServeError::Model(_))));
+        let loaded = ModelSpec::from_binary(&spec.to_binary().unwrap()).unwrap();
+        assert!(matches!(loaded.build(), Err(ServeError::Model(_))));
     }
 
     #[test]

@@ -85,6 +85,14 @@ fn malformed_payload_gets_error_reply_and_connection_survives() {
     let (code, _) = expect_error_frame(&mut stream);
     assert!(!code.is_empty());
 
+    // Tag 0x21 (a raster frame no peer ever sent) is unassigned: it gets
+    // the same typed answer as any other unknown tag.
+    let mut retired = vec![FRAME_MAGIC, WIRE_VERSION];
+    retired.extend_from_slice(&1u32.to_le_bytes());
+    retired.push(0x21);
+    stream.write_all(&retired).unwrap();
+    assert_eq!(expect_error_frame(&mut stream).0, "invalid_request");
+
     // The same connection still serves well-formed requests afterwards.
     stream
         .write_all(&encode_frame(&Frame::PingRequest).unwrap())

@@ -15,10 +15,9 @@ use serde::{Deserialize, Serialize};
 /// there are), which is what makes the different neural codings differ in
 /// their robustness to spike deletion and jitter.
 ///
-/// A neuron with a non-empty train is *active*; the active set (see
-/// [`SpikeRaster::num_active_trains`] / [`SpikeRaster::density`]) sizes the
-/// wire format's sparse raster encoding and is reported per layer in the
-/// simulation's stage trace.
+/// A neuron with a non-empty train is *active*; the active fraction
+/// ([`SpikeRaster::density`]) is reported per layer in the simulation's
+/// stage trace.
 ///
 /// ```
 /// use nrsnn_snn::SpikeRaster;
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// raster.set_train(2, vec![0]);
 /// assert_eq!(raster.total_spikes(), 4);
 /// assert_eq!(raster.train(1), &[] as &[u32]);
-/// assert_eq!(raster.num_active_trains(), 2);
+/// assert!((raster.density() - 2.0 / 3.0).abs() < 1e-6);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpikeRaster {
@@ -75,20 +74,6 @@ impl SpikeRaster {
         self.trains[neuron] = times;
     }
 
-    /// Returns `true` if neuron `neuron` fires at least once (its train is
-    /// non-empty).
-    ///
-    /// # Panics
-    /// Panics if `neuron` is out of range.
-    pub fn is_active(&self, neuron: usize) -> bool {
-        !self.trains[neuron].is_empty()
-    }
-
-    /// Number of active (non-empty-train) neurons.
-    pub fn num_active_trains(&self) -> usize {
-        self.trains.iter().filter(|t| !t.is_empty()).count()
-    }
-
     /// Fraction of neurons that fire at least once — the per-layer activity
     /// the simulation's stage trace reports.  It is a measurement only: the
     /// engine runs one dense forward kernel whatever the density, because a
@@ -99,7 +84,8 @@ impl SpikeRaster {
         if self.trains.is_empty() {
             return 1.0;
         }
-        self.num_active_trains() as f32 / self.trains.len() as f32
+        let active = self.trains.iter().filter(|t| !t.is_empty()).count();
+        active as f32 / self.trains.len() as f32
     }
 
     /// Iterates over `(neuron_index, spike_train)` pairs.
@@ -113,14 +99,6 @@ impl SpikeRaster {
     /// Total number of spikes across all neurons.
     pub fn total_spikes(&self) -> usize {
         self.trains.iter().map(|t| t.len()).sum()
-    }
-
-    /// Mean firing rate (spikes per neuron per time step).
-    pub fn mean_rate(&self) -> f32 {
-        if self.trains.is_empty() || self.num_steps == 0 {
-            return 0.0;
-        }
-        self.total_spikes() as f32 / (self.trains.len() as f32 * self.num_steps as f32)
     }
 
     /// Builds a raster from per-neuron trains, clamping and sorting each.
@@ -214,7 +192,6 @@ mod tests {
         assert_eq!(r.num_neurons(), 5);
         assert_eq!(r.num_steps(), 10);
         assert_eq!(r.total_spikes(), 0);
-        assert_eq!(r.mean_rate(), 0.0);
     }
 
     #[test]
@@ -232,13 +209,9 @@ mod tests {
     #[test]
     fn active_set_queries_reflect_non_empty_trains() {
         let mut r = SpikeRaster::new(4, 16);
-        assert_eq!(r.num_active_trains(), 0);
         assert_eq!(r.density(), 0.0);
         r.set_train(0, vec![3]);
         r.set_train(2, vec![1, 2]);
-        assert!(r.is_active(0));
-        assert!(!r.is_active(1));
-        assert_eq!(r.num_active_trains(), 2);
         assert!((r.density() - 0.5).abs() < 1e-6);
         // Empty rasters report full density.
         assert_eq!(SpikeRaster::new(0, 16).density(), 1.0);
@@ -250,7 +223,6 @@ mod tests {
         r.set_train(0, vec![0, 1, 2]);
         r.set_train(1, vec![5]);
         assert_eq!(r.total_spikes(), 4);
-        assert!((r.mean_rate() - 0.2).abs() < 1e-6);
     }
 
     #[test]

@@ -32,7 +32,8 @@ impl Conv2dGeometry {
     ///
     /// # Errors
     /// Returns [`TensorError::InvalidGeometry`] if the kernel does not fit the
-    /// padded input or any dimension is zero.
+    /// padded input, any dimension is zero, or the input (`C·H·W`) or patch
+    /// matrix (`H_out·W_out·C·K·K`) element count overflows `usize`.
     pub fn new(
         in_channels: usize,
         in_height: usize,
@@ -46,21 +47,38 @@ impl Conv2dGeometry {
                 "conv2d dimensions must be non-zero".to_string(),
             ));
         }
-        if in_height + 2 * padding < kernel || in_width + 2 * padding < kernel {
+        let padded = |side: usize| padding.checked_mul(2).and_then(|p| p.checked_add(side));
+        let (Some(padded_h), Some(padded_w)) = (padded(in_height), padded(in_width)) else {
             return Err(TensorError::InvalidGeometry(format!(
-                "kernel {kernel} larger than padded input {}x{}",
-                in_height + 2 * padding,
-                in_width + 2 * padding
+                "conv2d padding {padding} overflows usize"
+            )));
+        };
+        if padded_h < kernel || padded_w < kernel {
+            return Err(TensorError::InvalidGeometry(format!(
+                "kernel {kernel} larger than padded input {padded_h}x{padded_w}"
             )));
         }
-        Ok(Conv2dGeometry {
+        let geom = Conv2dGeometry {
             in_channels,
             in_height,
             in_width,
             kernel,
             stride,
             padding,
-        })
+        };
+        // Release builds wrap an overflowing product silently: a C·K·K that
+        // wrapped to 0 once sized an empty patch buffer that im2col then
+        // wrote 2^43 kernel rows into.
+        let (h_out, w_out) = (geom.out_height(), geom.out_width());
+        if checked_product(&[in_channels, in_height, in_width]).is_none()
+            || checked_product(&[h_out, w_out, in_channels, kernel, kernel]).is_none()
+        {
+            return Err(TensorError::InvalidGeometry(format!(
+                "conv2d input {in_channels}x{in_height}x{in_width} with kernel {kernel} \
+                 overflows usize"
+            )));
+        }
+        Ok(geom)
     }
 
     /// Output height of the convolution.
@@ -96,28 +114,15 @@ impl Conv2dGeometry {
 /// Returns [`TensorError::ShapeDataMismatch`] if `input.len()` does not match
 /// the geometry.
 pub fn im2col(input: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor> {
-    let mut out = Vec::new();
-    im2col_into(input, geom, &mut out)?;
-    Tensor::from_vec(out, &[geom.out_positions(), geom.patch_len()])
-}
-
-/// [`im2col`] into a reusable buffer: clears `out`, resizes it to
-/// `out_positions·patch_len` (keeping its capacity) and writes the unrolled
-/// patch matrix in row-major order.
-///
-/// # Errors
-/// Same as [`im2col`].
-pub fn im2col_into(input: &Tensor, geom: &Conv2dGeometry, out: &mut Vec<f32>) -> Result<()> {
     if input.len() != geom.in_len() {
         return Err(TensorError::ShapeDataMismatch {
             elements: input.len(),
             expected: geom.in_len(),
         });
     }
-    out.clear();
-    out.resize(geom.out_positions() * geom.patch_len(), 0.0);
-    im2col_slices(input.as_slice(), geom, out);
-    Ok(())
+    let mut out = Tensor::zeros(&[geom.out_positions(), geom.patch_len()]);
+    im2col_slices(input.as_slice(), geom, out.as_mut_slice());
+    Ok(out)
 }
 
 /// Raw kernel behind [`im2col`]: unrolls a flat `C·H·W` input into the
@@ -177,6 +182,11 @@ pub fn col2im(cols: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor> {
     Tensor::from_vec(out, &[geom.in_len()])
 }
 
+/// The product of `factors`, or `None` if it overflows `usize`.
+fn checked_product(factors: &[usize]) -> Option<usize> {
+    factors.iter().try_fold(1, |n: usize, &f| n.checked_mul(f))
+}
+
 /// Geometry of a 2-D max/average pooling operation over a `(C, H, W)` map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Pool2dGeometry {
@@ -196,8 +206,9 @@ impl Pool2dGeometry {
     /// Creates a pooling geometry.
     ///
     /// # Errors
-    /// Returns [`TensorError::InvalidGeometry`] if the window does not fit or
-    /// any dimension is zero.
+    /// Returns [`TensorError::InvalidGeometry`] if the window does not fit,
+    /// any dimension is zero, or the input (`C·H·W`) or output
+    /// (`C·H_out·W_out`) element count overflows `usize`.
     pub fn new(
         channels: usize,
         in_height: usize,
@@ -215,13 +226,21 @@ impl Pool2dGeometry {
                 "pool window {window} larger than input {in_height}x{in_width}"
             )));
         }
-        Ok(Pool2dGeometry {
+        let geom = Pool2dGeometry {
             channels,
             in_height,
             in_width,
             window,
             stride,
-        })
+        };
+        if checked_product(&[channels, in_height, in_width]).is_none()
+            || checked_product(&[channels, geom.out_height(), geom.out_width()]).is_none()
+        {
+            return Err(TensorError::InvalidGeometry(format!(
+                "pool2d input {channels}x{in_height}x{in_width} overflows usize"
+            )));
+        }
+        Ok(geom)
     }
 
     /// Output height of the pooling.
@@ -269,6 +288,9 @@ mod tests {
         assert!(Conv2dGeometry::new(0, 8, 8, 3, 1, 0).is_err());
         assert!(Conv2dGeometry::new(1, 2, 2, 5, 1, 0).is_err());
         assert!(Conv2dGeometry::new(1, 8, 8, 3, 0, 0).is_err());
+        // C·H·W and C·K·K are both 2^64: they used to wrap to 0 in release.
+        assert!(Conv2dGeometry::new(1 << 22, 1 << 21, 1 << 21, 1 << 21, 1, 0).is_err());
+        assert!(Pool2dGeometry::new(1 << 22, 1 << 21, 1 << 21, 1, 1).is_err());
     }
 
     #[test]
@@ -332,23 +354,5 @@ mod tests {
         let g = simple_geom();
         let bad = Tensor::zeros(&[5]);
         assert!(im2col(&bad, &g).is_err());
-        let mut buf = Vec::new();
-        assert!(im2col_into(&bad, &g, &mut buf).is_err());
-    }
-
-    #[test]
-    fn im2col_into_matches_allocating_path_and_reuses_capacity() {
-        let g = Conv2dGeometry::new(2, 4, 4, 3, 1, 1).unwrap();
-        let input = Tensor::from_vec((0..32).map(|v| v as f32 * 0.25 - 3.0).collect(), &[32])
-            .unwrap()
-            .reshape(&[32])
-            .unwrap();
-        let reference = im2col(&input, &g).unwrap();
-        let mut buf = vec![42.0f32; 3]; // dirty, wrongly sized: must be reset
-        im2col_into(&input, &g, &mut buf).unwrap();
-        assert_eq!(buf, reference.as_slice());
-        let cap = buf.capacity();
-        im2col_into(&input, &g, &mut buf).unwrap();
-        assert_eq!(buf.capacity(), cap);
     }
 }

@@ -34,13 +34,12 @@ mod shape;
 pub mod simd;
 mod tensor;
 
-pub use conv::{col2im, im2col, im2col_into, im2col_slices, Conv2dGeometry, Pool2dGeometry};
+pub use conv::{col2im, im2col, im2col_slices, Conv2dGeometry, Pool2dGeometry};
 pub use error::TensorError;
 pub use init::{he_normal, uniform, xavier_uniform};
 pub use linalg::{
-    matmul, matmul_into, matmul_slices, matmul_sparse_into, matmul_sparse_slices, matvec,
-    matvec_bias_slices, matvec_bias_tile_slices, matvec_into, matvec_slices, outer, transpose,
-    transpose_into, transpose_slices,
+    matmul, matmul_slices, matmul_sparse_into, matmul_sparse_slices, matvec, matvec_bias_slices,
+    matvec_bias_tile_slices, matvec_slices, transpose, transpose_slices,
 };
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -1,15 +1,13 @@
 //! Dense linear-algebra kernels: matrix multiplication, matrix-vector
-//! products, transposition and outer products.
+//! products and transposition.
 //!
-//! Every kernel exists in three forms that share one implementation, so the
+//! Every kernel exists in two forms that share one implementation, so the
 //! numeric result is bit-identical whichever entry point is used:
 //!
 //! * a raw slice kernel (`matmul_slices`, …) writing into a caller-provided
 //!   buffer — the allocation-free form used by the simulation workspace;
-//! * an `_into` variant (`matmul_into`, …) operating on [`Tensor`]s but
-//!   reusing the caller's output `Vec` (cleared and resized, capacity kept);
-//! * the original allocating function (`matmul`, …), now a thin wrapper that
-//!   allocates a fresh output and delegates to the `_into` variant.
+//! * an allocating function over [`Tensor`]s (`matmul`, …) that checks the
+//!   operand shapes, allocates a fresh output and runs the slice kernel.
 //!
 //! Since the SIMD layer landed, every slice kernel delegates to the
 //! runtime-dispatched implementation in [`crate::simd`] on the process-wide
@@ -143,74 +141,9 @@ pub fn matmul_sparse_into(a: &Tensor, b: &Tensor, bias: &Tensor, out: &mut Vec<f
             op: "matmul_sparse",
         });
     }
-    matmul_sparse_slices(
-        a.as_slice(),
-        m,
-        k1,
-        b.as_slice(),
-        n,
-        bias.as_slice(),
-        reuse(out, m * n),
-    );
-    Ok(())
-}
-
-fn reuse(buffer: &mut Vec<f32>, len: usize) -> &mut [f32] {
-    buffer.clear();
-    buffer.resize(len, 0.0);
-    buffer
-}
-
-/// [`matmul`] into a reusable buffer: clears `out`, resizes it to `m·n`
-/// (keeping its capacity) and writes the product.
-///
-/// # Errors
-/// Same as [`matmul`].
-pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Vec<f32>) -> Result<()> {
-    ensure_rank(a, 2, "matmul")?;
-    ensure_rank(b, 2, "matmul")?;
-    let (m, k1) = (a.dims()[0], a.dims()[1]);
-    let (k2, n) = (b.dims()[0], b.dims()[1]);
-    if k1 != k2 {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-            op: "matmul",
-        });
-    }
-    matmul_slices(a.as_slice(), m, k1, b.as_slice(), n, reuse(out, m * n));
-    Ok(())
-}
-
-/// [`matvec`] into a reusable buffer: clears `out`, resizes it to `m`
-/// (keeping its capacity) and writes the product.
-///
-/// # Errors
-/// Same as [`matvec`].
-pub fn matvec_into(a: &Tensor, x: &Tensor, out: &mut Vec<f32>) -> Result<()> {
-    ensure_rank(a, 2, "matvec")?;
-    ensure_rank(x, 1, "matvec")?;
-    let (m, n) = (a.dims()[0], a.dims()[1]);
-    if x.len() != n {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims().to_vec(),
-            rhs: x.dims().to_vec(),
-            op: "matvec",
-        });
-    }
-    matvec_slices(a.as_slice(), m, n, x.as_slice(), reuse(out, m));
-    Ok(())
-}
-
-/// [`transpose`] into a reusable buffer: clears `out`, resizes it to `m·n`
-/// (keeping its capacity) and writes the transpose.
-///
-/// # Errors
-/// Same as [`transpose`].
-pub fn transpose_into(a: &Tensor, out: &mut Vec<f32>) -> Result<()> {
-    ensure_rank(a, 2, "transpose")?;
-    let (m, n) = (a.dims()[0], a.dims()[1]);
-    transpose_slices(a.as_slice(), m, n, reuse(out, m * n));
+    out.clear();
+    out.resize(m * n, 0.0);
+    matmul_sparse_slices(a.as_slice(), m, k1, b.as_slice(), n, bias.as_slice(), out);
     Ok(())
 }
 
@@ -231,9 +164,20 @@ pub fn transpose_into(a: &Tensor, out: &mut Vec<f32>) -> Result<()> {
 /// # }
 /// ```
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let mut out = Vec::new();
-    matmul_into(a, b, &mut out)?;
-    Tensor::from_vec(out, &[a.dims()[0], b.dims()[1]])
+    ensure_rank(a, 2, "matmul")?;
+    ensure_rank(b, 2, "matmul")?;
+    let (m, k1) = (a.dims()[0], a.dims()[1]);
+    let (k2, n) = (b.dims()[0], b.dims()[1]);
+    if k1 != k2 {
+        return Err(TensorError::ShapeMismatch {
+            lhs: a.dims().to_vec(),
+            rhs: b.dims().to_vec(),
+            op: "matmul",
+        });
+    }
+    let mut out = Tensor::zeros(&[m, n]);
+    matmul_slices(a.as_slice(), m, k1, b.as_slice(), n, out.as_mut_slice());
+    Ok(out)
 }
 
 /// Multiplies a rank-2 matrix `(m x n)` by a rank-1 vector of length `n`.
@@ -242,9 +186,19 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// Returns [`TensorError::RankMismatch`] / [`TensorError::ShapeMismatch`] for
 /// invalid operands.
 pub fn matvec(a: &Tensor, x: &Tensor) -> Result<Tensor> {
-    let mut out = Vec::new();
-    matvec_into(a, x, &mut out)?;
-    Tensor::from_vec(out, &[a.dims()[0]])
+    ensure_rank(a, 2, "matvec")?;
+    ensure_rank(x, 1, "matvec")?;
+    let (m, n) = (a.dims()[0], a.dims()[1]);
+    if x.len() != n {
+        return Err(TensorError::ShapeMismatch {
+            lhs: a.dims().to_vec(),
+            rhs: x.dims().to_vec(),
+            op: "matvec",
+        });
+    }
+    let mut out = Tensor::zeros(&[m]);
+    matvec_slices(a.as_slice(), m, n, x.as_slice(), out.as_mut_slice());
+    Ok(out)
 }
 
 /// Transposes a rank-2 tensor.
@@ -252,28 +206,11 @@ pub fn matvec(a: &Tensor, x: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// Returns [`TensorError::RankMismatch`] if the tensor is not rank 2.
 pub fn transpose(a: &Tensor) -> Result<Tensor> {
-    let mut out = Vec::new();
-    transpose_into(a, &mut out)?;
-    Tensor::from_vec(out, &[a.dims()[1], a.dims()[0]])
-}
-
-/// Outer product of two rank-1 tensors: `(m) ⊗ (n) -> (m x n)`.
-///
-/// # Errors
-/// Returns [`TensorError::RankMismatch`] if either operand is not rank 1.
-pub fn outer(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    ensure_rank(a, 1, "outer")?;
-    ensure_rank(b, 1, "outer")?;
-    let (m, n) = (a.len(), b.len());
-    let av = a.as_slice();
-    let bv = b.as_slice();
-    let mut out = vec![0.0f32; m * n];
-    for i in 0..m {
-        for j in 0..n {
-            out[i * n + j] = av[i] * bv[j];
-        }
-    }
-    Tensor::from_vec(out, &[m, n])
+    ensure_rank(a, 2, "transpose")?;
+    let (m, n) = (a.dims()[0], a.dims()[1]);
+    let mut out = Tensor::zeros(&[n, m]);
+    transpose_slices(a.as_slice(), m, n, out.as_mut_slice());
+    Ok(out)
 }
 
 fn ensure_rank(t: &Tensor, rank: usize, op: &'static str) -> Result<()> {
@@ -351,61 +288,12 @@ mod tests {
     }
 
     #[test]
-    fn outer_product() {
-        let a = Tensor::from_slice(&[1.0, 2.0]);
-        let b = Tensor::from_slice(&[3.0, 4.0, 5.0]);
-        let o = outer(&a, &b).unwrap();
-        assert_eq!(o.dims(), &[2, 3]);
-        assert_eq!(o.as_slice(), &[3.0, 4.0, 5.0, 6.0, 8.0, 10.0]);
-    }
-
-    #[test]
     fn rank_checks() {
         let v = Tensor::from_slice(&[1.0, 2.0]);
         let m = Tensor::zeros(&[2, 2]);
         assert!(matmul(&v, &m).is_err());
         assert!(matvec(&v, &v).is_err());
         assert!(transpose(&v).is_err());
-        assert!(outer(&m, &v).is_err());
-    }
-
-    #[test]
-    fn into_variants_match_allocating_kernels_bitwise() {
-        let a = Tensor::from_vec(vec![1.0, -2.5, 0.0, 4.0, 0.125, 6.0], &[2, 3]).unwrap();
-        let b = Tensor::from_vec(vec![0.5, 1.0, -1.0, 2.0, 3.0, -0.75], &[3, 2]).unwrap();
-        let x = Tensor::from_slice(&[1.5, -0.5, 2.0]);
-
-        let mut buf = vec![9.0f32; 1]; // dirty, wrongly sized: must be reset
-        matmul_into(&a, &b, &mut buf).unwrap();
-        assert_eq!(buf, matmul(&a, &b).unwrap().into_vec());
-
-        matvec_into(&a, &x, &mut buf).unwrap();
-        assert_eq!(buf, matvec(&a, &x).unwrap().into_vec());
-
-        transpose_into(&a, &mut buf).unwrap();
-        assert_eq!(buf, transpose(&a).unwrap().into_vec());
-    }
-
-    #[test]
-    fn into_variants_reuse_capacity() {
-        let a = Tensor::eye(4);
-        let mut buf = Vec::with_capacity(64);
-        matmul_into(&a, &a, &mut buf).unwrap();
-        let cap = buf.capacity();
-        matmul_into(&a, &a, &mut buf).unwrap();
-        assert_eq!(buf.capacity(), cap);
-        assert_eq!(buf, Tensor::eye(4).into_vec());
-    }
-
-    #[test]
-    fn into_variants_validate_shapes() {
-        let v = Tensor::from_slice(&[1.0, 2.0]);
-        let m = Tensor::zeros(&[2, 3]);
-        let mut buf = Vec::new();
-        assert!(matmul_into(&m, &m, &mut buf).is_err());
-        assert!(matvec_into(&m, &m, &mut buf).is_err());
-        assert!(matvec_into(&m, &Tensor::from_slice(&[1.0]), &mut buf).is_err());
-        assert!(transpose_into(&v, &mut buf).is_err());
     }
 
     fn bits(values: &[f32]) -> Vec<u32> {

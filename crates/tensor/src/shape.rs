@@ -42,9 +42,10 @@ impl Shape {
         self.dims.len()
     }
 
-    /// Total number of elements.
+    /// Total number of elements.  A product that overflows `usize`
+    /// saturates at `usize::MAX`, which no real buffer matches.
     pub fn len(&self) -> usize {
-        self.dims.iter().product()
+        self.dims.iter().fold(1, |acc, &d| acc.saturating_mul(d))
     }
 
     /// Returns `true` if the shape has zero elements.

@@ -135,8 +135,7 @@ impl Tensor {
 
     /// Reuses this tensor as a zero-filled tensor of the given shape,
     /// keeping the underlying buffer's capacity, and returns the data for
-    /// in-place filling.  This is the allocation-reusing primitive behind
-    /// the into-buffer forward paths.
+    /// in-place filling.
     pub fn reset_zeroed(&mut self, dims: &[usize]) -> &mut [f32] {
         let shape = Shape::new(dims);
         self.data.clear();
@@ -462,6 +461,8 @@ mod tests {
     fn from_vec_checks_len() {
         assert!(Tensor::from_vec(vec![1.0, 2.0], &[3]).is_err());
         assert!(Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).is_ok());
+        // 2^80 elements: the product used to wrap to 0 in release.
+        assert!(Tensor::from_vec(vec![], &[1 << 40, 1 << 40]).is_err());
     }
 
     #[test]

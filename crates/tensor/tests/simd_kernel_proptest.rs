@@ -15,7 +15,7 @@ use nrsnn_tensor::simd::{
     sum_gather_with, SimdBackend,
 };
 use nrsnn_tensor::{
-    im2col_into, matmul_into, matmul_sparse_into, matvec_into, Conv2dGeometry, Tensor, TensorError,
+    im2col, matmul, matmul_sparse_into, matvec, Conv2dGeometry, Tensor, TensorError,
 };
 use proptest::{rng_for, TestRng, CASES};
 use rand::Rng;
@@ -277,6 +277,7 @@ fn sum_gather_every_isa_matches_sum8_by_bitwise() {
     }
 }
 
+/// The tensor-level wrappers check shapes before they reach a slice kernel.
 #[test]
 fn into_wrappers_return_typed_shape_errors() {
     let a = Tensor::zeros(&[3, 4]);
@@ -286,15 +287,15 @@ fn into_wrappers_return_typed_shape_errors() {
     let mut out = Vec::new();
 
     assert!(matches!(
-        matmul_into(&a, &b_bad, &mut out),
+        matmul(&a, &b_bad),
         Err(TensorError::ShapeMismatch { op: "matmul", .. })
     ));
     assert!(matches!(
-        matvec_into(&a, &x_bad, &mut out),
+        matvec(&a, &x_bad),
         Err(TensorError::ShapeMismatch { op: "matvec", .. })
     ));
     assert!(matches!(
-        matvec_into(&a, &a, &mut out),
+        matvec(&a, &a),
         Err(TensorError::RankMismatch { op: "matvec", .. })
     ));
     // Bias-seeded mat-mul wrapper: wrong bias length.
@@ -306,11 +307,10 @@ fn into_wrappers_return_typed_shape_errors() {
     // im2col: wrong input length for the geometry.
     let geom = Conv2dGeometry::new(1, 4, 4, 3, 1, 0).unwrap();
     assert!(matches!(
-        im2col_into(&x_bad, &geom, &mut out),
+        im2col(&x_bad, &geom),
         Err(TensorError::ShapeDataMismatch { .. })
     ));
-    // Valid calls still succeed after the failures (buffers are reusable).
+    // Valid calls still succeed after the failures.
     let b_ok = Tensor::zeros(&[4, 2]);
-    assert!(matmul_into(&a, &b_ok, &mut out).is_ok());
-    assert_eq!(out.len(), 6);
+    assert_eq!(matmul(&a, &b_ok).unwrap().dims(), &[3, 2]);
 }

@@ -54,11 +54,6 @@ impl ByteWriter {
         self.buf.push(v);
     }
 
-    /// Appends a `u16` little-endian.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a `u32` little-endian.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -170,15 +165,6 @@ impl<'a> ByteReader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Reads a little-endian `u16`.
-    ///
-    /// # Errors
-    /// Returns [`WireError::Truncated`] if fewer than 2 bytes remain.
-    pub fn get_u16(&mut self) -> Result<u16> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
     /// Reads a little-endian `u32`.
     ///
     /// # Errors
@@ -258,7 +244,6 @@ mod tests {
     fn scalars_round_trip_bitwise() {
         let mut w = ByteWriter::new();
         w.put_u8(0xAB);
-        w.put_u16(0xBEEF);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 3);
         w.put_f32(-0.0);
@@ -268,7 +253,6 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.get_u8().unwrap(), 0xAB);
-        assert_eq!(r.get_u16().unwrap(), 0xBEEF);
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 3);
         assert_eq!(r.get_f32().unwrap().to_bits(), (-0.0f32).to_bits());

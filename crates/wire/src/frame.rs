@@ -18,7 +18,8 @@
 //! 0x14 PongReply            (empty)
 //! 0x15 ErrorReply           code:str  message:str
 //! 0x16 TraceReply           count:u32  (trace: see `TraceBody`)*
-//! 0x21 Raster               see the `raster` module
+//! 0x21 (unassigned)         was a spike-raster frame that no peer ever
+//!                           sent; rejected as an unknown tag
 //! ```
 //!
 //! The magic byte `0xB5` is deliberately distinct from `{` (`0x7B`), the
@@ -29,9 +30,6 @@
 
 use std::io::{Read, Write};
 
-use nrsnn_snn::SpikeRaster;
-
-use crate::raster::{read_raster, write_raster};
 use crate::{ByteReader, ByteWriter, Result, WireError};
 
 /// First byte of every binary frame.  Must never equal `b'{'` (0x7B): the
@@ -204,9 +202,10 @@ pub struct TraceBody {
     pub dropped_spans: u32,
 }
 
-/// Every message of the serving protocol, plus a standalone spike-raster
-/// frame for shard-to-shard transport.  Mirrors `nrsnn-serve`'s
+/// Every message of the serving protocol.  Mirrors `nrsnn-serve`'s
 /// `Request`/`Response` types; the serve crate owns the conversions.
+/// Tag `0x21` (a spike-raster frame no peer ever sent) is unassigned and
+/// decodes as [`WireError::UnknownTag`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// Run one inference (`tag 0x01`).
@@ -259,8 +258,6 @@ pub enum Frame {
     },
     /// Recorded request timelines, newest first (`tag 0x16`).
     TraceReply(Vec<TraceBody>),
-    /// A standalone spike raster (`tag 0x21`).
-    Raster(SpikeRaster),
 }
 
 const TAG_INFER_REQUEST: u8 = 0x01;
@@ -274,7 +271,6 @@ const TAG_MODELS_REPLY: u8 = 0x13;
 const TAG_PONG_REPLY: u8 = 0x14;
 const TAG_ERROR_REPLY: u8 = 0x15;
 const TAG_TRACE_REPLY: u8 = 0x16;
-const TAG_RASTER: u8 = 0x21;
 
 impl Frame {
     /// The payload tag byte of this frame type.
@@ -291,7 +287,6 @@ impl Frame {
             Frame::PongReply => TAG_PONG_REPLY,
             Frame::ErrorReply { .. } => TAG_ERROR_REPLY,
             Frame::TraceReply(_) => TAG_TRACE_REPLY,
-            Frame::Raster(_) => TAG_RASTER,
         }
     }
 }
@@ -299,8 +294,7 @@ impl Frame {
 /// Encodes a frame payload (tag + body, no header).
 ///
 /// # Errors
-/// [`WireError::InvalidPayload`] if a length field overflows `u32` or a
-/// raster exceeds its dimension cap.
+/// [`WireError::InvalidPayload`] if a length field overflows `u32`.
 pub fn encode_payload(frame: &Frame) -> Result<Vec<u8>> {
     let mut w = ByteWriter::with_capacity(64);
     w.put_u8(frame.tag());
@@ -392,9 +386,6 @@ pub fn encode_payload(frame: &Frame) -> Result<Vec<u8>> {
         Frame::ErrorReply { code, message } => {
             w.put_str(code)?;
             w.put_str(message)?;
-        }
-        Frame::Raster(raster) => {
-            write_raster(&mut w, raster)?;
         }
     }
     Ok(w.into_bytes())
@@ -556,7 +547,6 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame> {
             }
             Frame::TraceReply(traces)
         }
-        TAG_RASTER => Frame::Raster(read_raster(&mut r)?),
         other => return Err(WireError::UnknownTag { tag: other }),
     };
     r.expect_exhausted()?;
@@ -640,8 +630,6 @@ mod tests {
     use super::*;
 
     fn sample_frames() -> Vec<Frame> {
-        let mut raster = SpikeRaster::new(8, 96);
-        raster.set_train(2, vec![0, 17, 95]);
         vec![
             Frame::InferRequest {
                 model: "mnist-ttas".to_string(),
@@ -723,7 +711,6 @@ mod tests {
                 code: "unknown_model".to_string(),
                 message: "no model named 'x'".to_string(),
             },
-            Frame::Raster(raster),
         ]
     }
 
@@ -781,10 +768,10 @@ mod tests {
 
     #[test]
     fn unknown_tags_and_trailing_bytes_are_rejected() {
-        assert_eq!(
-            decode_payload(&[0x7F]),
-            Err(WireError::UnknownTag { tag: 0x7F })
-        );
+        // 0x21 once tagged a raster frame; it is as unassigned as 0x7F.
+        for tag in [0x21, 0x7F] {
+            assert_eq!(decode_payload(&[tag]), Err(WireError::UnknownTag { tag }));
+        }
         let mut bytes = encode_frame(&Frame::PingRequest).unwrap();
         bytes.push(0);
         assert_eq!(

@@ -1,12 +1,11 @@
 //! # nrsnn-wire
 //!
 //! The compact binary wire and model format of the NRSNN reproduction: a
-//! length-prefixed, versioned framing for every serving-protocol message, a
-//! sparse spike-raster codec, and the binary on-disk model format.  The
-//! newline-delimited JSON protocol of `nrsnn-serve` stays available as the
-//! negotiated fallback; this crate supplies the byte-exact encoding the
-//! ROADMAP's scale-out serving needs (floats as raw little-endian bits, not
-//! decimal text; spike rasters as an index/value split, not nested arrays).
+//! length-prefixed, versioned framing for every serving-protocol message
+//! and the binary on-disk model format.  The newline-delimited JSON
+//! protocol of `nrsnn-serve` stays available as the negotiated fallback;
+//! this crate supplies the byte-exact encoding (floats as raw
+//! little-endian bits, not decimal text).
 //!
 //! ## Correctness bar
 //!
@@ -49,7 +48,6 @@
 mod bytes;
 pub mod frame;
 pub mod model;
-pub mod raster;
 
 pub use bytes::{ByteReader, ByteWriter};
 pub use frame::{
@@ -60,7 +58,6 @@ pub use frame::{
 pub use model::{
     decode_model, encode_model, LayerDesc, ModelRecord, NoiseDesc, MODEL_MAGIC, MODEL_VERSION,
 };
-pub use raster::{decode_raster, encode_raster, read_raster, write_raster, MAX_RASTER_DIM};
 
 use std::error::Error;
 use std::fmt;
@@ -103,7 +100,7 @@ pub enum WireError {
         tag: u8,
     },
     /// The bytes were structurally readable but semantically invalid
-    /// (unsorted spike train, out-of-range index, non-UTF-8 string, …).
+    /// (mismatched tensor shape, non-UTF-8 string, …).
     InvalidPayload(String),
     /// Decoding consumed the structure but bytes were left over — the
     /// encoding is self-delimiting, so trailing garbage is corruption.

@@ -6,19 +6,17 @@
 //! `Date::now`-style nondeterminism anywhere.
 
 use nrsnn_dnn::NetworkWeights;
-use nrsnn_snn::{CodingKind, SpikeRaster};
+use nrsnn_snn::CodingKind;
 use nrsnn_tensor::Tensor;
 use nrsnn_wire::{
-    decode_frame, decode_model, decode_raster, encode_frame, encode_model, encode_raster, Frame,
-    LayerDesc, ModelRecord, NoiseDesc, StatsBody, TraceBody, TraceSpanBody, WireError,
-    FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME_LEN, TRACE_NO_LAYER, WIRE_VERSION,
+    decode_frame, decode_model, encode_frame, encode_model, Frame, LayerDesc, ModelRecord,
+    NoiseDesc, StatsBody, TraceBody, TraceSpanBody, WireError, FRAME_HEADER_LEN, FRAME_MAGIC,
+    MAX_FRAME_LEN, TRACE_NO_LAYER, WIRE_VERSION,
 };
 use proptest::rng_for;
 use rand::Rng;
 
 fn sample_frame() -> Frame {
-    let mut raster = SpikeRaster::new(6, 96);
-    raster.set_train(1, vec![3, 40, 95]);
     Frame::InferRequest {
         model: "mnist".to_string(),
         seed: (1u64 << 60) + 5,
@@ -27,8 +25,6 @@ fn sample_frame() -> Frame {
 }
 
 fn sample_frames() -> Vec<Frame> {
-    let mut raster = SpikeRaster::new(6, 96);
-    raster.set_train(1, vec![3, 40, 95]);
     vec![
         sample_frame(),
         Frame::StatsRequest,
@@ -72,7 +68,6 @@ fn sample_frames() -> Vec<Frame> {
             code: "busy".to_string(),
             message: "try later".to_string(),
         },
-        Frame::Raster(raster),
     ]
 }
 
@@ -212,31 +207,6 @@ fn random_byte_mutations_never_panic_models() {
 }
 
 #[test]
-fn random_byte_mutations_never_panic_rasters() {
-    let mut rng = rng_for("random_byte_mutations_never_panic_rasters");
-    let mut raster = SpikeRaster::new(12, 96);
-    for n in 0..12 {
-        if n % 3 != 0 {
-            raster.set_train(n, vec![n as u32, 50 + n as u32]);
-        }
-    }
-    let original = encode_raster(&raster).unwrap();
-    for _ in 0..2000 {
-        let mut bytes = original.clone();
-        let pos = rng.gen_range(0..bytes.len());
-        bytes[pos] ^= 1 << rng.gen_range(0u32..8);
-        if let Ok(back) = decode_raster(&bytes) {
-            // Mode choice is the encoder's; a decoded mutant re-encodes to
-            // the canonical mode, which may legitimately differ from the
-            // mutant's bytes only in representation, never in content.
-            let re = encode_raster(&back).unwrap();
-            let twice = decode_raster(&re).unwrap();
-            assert_eq!(twice, back);
-        }
-    }
-}
-
-#[test]
 fn truncated_and_mutated_model_files_are_typed() {
     let bytes = encode_model(&sample_model()).unwrap();
     for cut in 0..bytes.len() {
@@ -259,7 +229,7 @@ fn truncated_and_mutated_model_files_are_typed() {
 }
 
 #[test]
-fn hostile_tensor_and_raster_counts_cannot_allocate() {
+fn hostile_tensor_counts_cannot_allocate() {
     // Model file announcing u32::MAX tensors: each costs >= 8 bytes, so
     // the count check fails against the few remaining bytes immediately.
     let record = ModelRecord {
@@ -272,18 +242,6 @@ fn hostile_tensor_and_raster_counts_cannot_allocate() {
     bytes[len - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
     assert!(matches!(
         decode_model(&bytes),
-        Err(WireError::Truncated { .. })
-    ));
-
-    // Raster announcing u32::MAX active trains.
-    let raster = SpikeRaster::new(4, 96);
-    let mut bytes = encode_raster(&raster).unwrap();
-    // Force sparse mode with a hostile count: header(8) + mode + count.
-    bytes[8] = 0; // sparse
-    let len = bytes.len();
-    bytes[len - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert!(matches!(
-        decode_raster(&bytes),
         Err(WireError::Truncated { .. })
     ));
 }

@@ -14,7 +14,7 @@
 use std::path::PathBuf;
 
 use nrsnn_dnn::NetworkWeights;
-use nrsnn_snn::{CodingKind, SpikeRaster};
+use nrsnn_snn::CodingKind;
 use nrsnn_tensor::Tensor;
 use nrsnn_wire::{
     decode_frame, decode_model, encode_frame, encode_model, Frame, LayerDesc, ModelRecord,
@@ -51,9 +51,6 @@ fn check_golden(name: &str, bytes: &[u8]) {
 /// One fixture value per frame tag.  These are frozen: editing them
 /// invalidates the fixtures just as surely as editing the encoder.
 fn golden_frames() -> Vec<(&'static str, Frame)> {
-    let mut raster = SpikeRaster::new(5, 64);
-    raster.set_train(0, vec![0, 63]);
-    raster.set_train(3, vec![7]);
     vec![
         (
             "frame_infer_request.bin",
@@ -153,7 +150,6 @@ fn golden_frames() -> Vec<(&'static str, Frame)> {
                 message: "queue full".to_string(),
             },
         ),
-        ("frame_raster.bin", Frame::Raster(raster)),
     ]
 }
 
@@ -233,7 +229,7 @@ fn model_encoding_matches_committed_fixture() {
 fn fixture_count_is_complete() {
     // One fixture per frame tag plus the model file.  If a frame type is
     // added, add its fixture here so it becomes golden-pinned too.
-    assert_eq!(golden_frames().len(), 12);
+    assert_eq!(golden_frames().len(), 11);
     if std::env::var("NRSNN_WIRE_BLESS").as_deref() == Ok("1") {
         // Fixtures are being rewritten concurrently by the other tests;
         // counting them here would race the writers.
@@ -246,7 +242,7 @@ fn fixture_count_is_complete() {
         .collect();
     assert_eq!(
         entries.len(),
-        13,
+        12,
         "unexpected fixture set {entries:?}: stale files hide format drift"
     );
 }

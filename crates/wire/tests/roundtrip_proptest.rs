@@ -1,5 +1,5 @@
 //! Property suite: `decode(encode(x)) == x` **bitwise** for every frame
-//! type, for spike rasters and for model records (weights included).
+//! type and for model records (weights included).
 //!
 //! Equality is asserted two ways on purpose: structurally (`PartialEq`)
 //! and on the re-encoded bytes — `PartialEq` treats `-0.0 == 0.0`, so only
@@ -10,11 +10,11 @@
 //! [`proptest::rng_for`] — no wall-clock nondeterminism.
 
 use nrsnn_dnn::NetworkWeights;
-use nrsnn_snn::{CodingKind, SpikeRaster};
+use nrsnn_snn::CodingKind;
 use nrsnn_tensor::Tensor;
 use nrsnn_wire::{
-    decode_frame, decode_model, decode_raster, encode_frame, encode_model, encode_raster, Frame,
-    LayerDesc, ModelRecord, NoiseDesc, StageLatencyBody, StatsBody, TraceBody, TraceSpanBody,
+    decode_frame, decode_model, encode_frame, encode_model, Frame, LayerDesc, ModelRecord,
+    NoiseDesc, StageLatencyBody, StatsBody, TraceBody, TraceSpanBody,
 };
 use proptest::{prop_assert_eq, rng_for, TestRng, CASES};
 use rand::Rng;
@@ -87,43 +87,6 @@ fn gen_string(rng: &mut TestRng) -> String {
         .collect()
 }
 
-/// Rasters across the density spectrum: empty, all-empty trains,
-/// single-spike, random, and fully active (dense-mode territory), over
-/// windows that exercise every spike-time width (1, 2 and 4 bytes).
-fn gen_raster(rng: &mut TestRng) -> SpikeRaster {
-    let num_steps = [0u32, 1, 9, 96, 256, 257, 65_536, 70_000][rng.gen_range(0usize..8)];
-    let num_neurons = rng.gen_range(0usize..24);
-    let mut raster = SpikeRaster::new(num_neurons, num_steps);
-    if num_steps == 0 || num_neurons == 0 {
-        return raster;
-    }
-    match rng.gen_range(0u32..5) {
-        0 => {} // all-empty
-        1 => {
-            // single spike in one train
-            let t = rng.gen_range(0..num_steps);
-            raster.set_train(rng.gen_range(0..num_neurons), vec![t]);
-        }
-        2 => {
-            // fully active: every neuron fires at every step
-            for n in 0..num_neurons {
-                raster.set_train(n, (0..num_steps.min(512)).collect());
-            }
-        }
-        _ => {
-            for n in 0..num_neurons {
-                if rng.gen_range(0u32..3) == 0 {
-                    continue;
-                }
-                let spikes = rng.gen_range(1u32..=num_steps.min(12));
-                let times: Vec<u32> = (0..spikes).map(|_| rng.gen_range(0..num_steps)).collect();
-                raster.set_train(n, times);
-            }
-        }
-    }
-    raster
-}
-
 fn gen_stats(rng: &mut TestRng) -> StatsBody {
     StatsBody {
         requests_received: rng.gen(),
@@ -175,7 +138,7 @@ fn gen_trace(rng: &mut TestRng) -> TraceBody {
 }
 
 fn gen_frame(rng: &mut TestRng) -> Frame {
-    match rng.gen_range(0u32..12) {
+    match rng.gen_range(0u32..11) {
         0 => Frame::InferRequest {
             model: gen_string(rng),
             seed: gen_seed(rng),
@@ -208,12 +171,11 @@ fn gen_frame(rng: &mut TestRng) -> Frame {
             message: gen_string(rng),
         },
         9 => Frame::TraceRequest { last: rng.gen() },
-        10 => Frame::TraceReply(
+        _ => Frame::TraceReply(
             (0..rng.gen_range(0usize..4))
                 .map(|_| gen_trace(rng))
                 .collect(),
         ),
-        _ => Frame::Raster(gen_raster(rng)),
     }
 }
 
@@ -296,20 +258,11 @@ fn gen_model(rng: &mut TestRng) -> ModelRecord {
     }
 }
 
-fn assert_raster_bit_equal(a: &SpikeRaster, b: &SpikeRaster) {
-    assert_eq!(a, b);
-    assert_eq!(a.num_steps(), b.num_steps());
-    for ((na, ta), (nb, tb)) in a.iter().zip(b.iter()) {
-        assert_eq!(na, nb);
-        assert_eq!(ta, tb);
-    }
-}
-
 #[test]
 fn every_frame_round_trips_bitwise() {
     let mut rng = rng_for("every_frame_round_trips_bitwise");
-    // 10x the usual case count so each of the ten frame types gets a full
-    // complement of adversarial draws.
+    // 10x the usual case count so each of the eleven frame types gets a
+    // full complement of adversarial draws.
     for _ in 0..CASES * 10 {
         let frame = gen_frame(&mut rng);
         let bytes = encode_frame(&frame).expect("encode");
@@ -318,18 +271,6 @@ fn every_frame_round_trips_bitwise() {
         // The bit-exactness proof: re-encoding reproduces the bytes, so no
         // -0.0/0.0 or NaN-payload drift can hide behind PartialEq.
         assert_eq!(encode_frame(&back).expect("re-encode"), bytes);
-    }
-}
-
-#[test]
-fn rasters_round_trip_across_the_density_spectrum() {
-    let mut rng = rng_for("rasters_round_trip_across_the_density_spectrum");
-    for _ in 0..CASES * 4 {
-        let raster = gen_raster(&mut rng);
-        let bytes = encode_raster(&raster).expect("encode");
-        let back = decode_raster(&bytes).expect("decode");
-        assert_raster_bit_equal(&back, &raster);
-        assert_eq!(encode_raster(&back).expect("re-encode"), bytes);
     }
 }
 
