@@ -19,7 +19,10 @@
 //! sample and weight bytes per sample), each gated byte-equal to the
 //! per-sample forward.  A fourth times the coding layer in isolation:
 //! per-coding, per-ISA encode-only and decode-only rows, equality-gated
-//! train-for-train before timing.
+//! train-for-train before timing.  A fifth times the mat-mul kernel that
+//! DNN training and the convolution forward run, per ISA at the MLP
+//! training shapes and the CNN's shapes, each gated bit for bit on a plain
+//! `ikj` loop first.
 //!
 //! ```text
 //! cargo bench -p nrsnn-bench --bench sim_throughput
@@ -32,7 +35,9 @@ use nrsnn::prelude::*;
 use nrsnn_bench::{bench_sweep_config, cifar10_pipeline, mnist_pipeline, record_bench_summary};
 use nrsnn_runtime::derive_seed;
 use nrsnn_snn::{CodingScratch, SnnLayer, SpikeRaster};
-use nrsnn_tensor::simd::{available_backends, set_backend, SimdBackend};
+use nrsnn_tensor::simd::{
+    available_backends, matmul_slices_with, matmul_sparse_slices_with, set_backend, SimdBackend,
+};
 use nrsnn_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -632,9 +637,120 @@ fn coding_micro_report(
     }
 }
 
+/// Mat-mul shapes `(m, k, n, bias-seeded)` of the kernel rows: the MLP's
+/// per-batch training products (first-layer forward `x·Wᵀ`, first-layer
+/// weight gradient `gradᵀ·x`, second- and third-layer forwards) and the
+/// CNN's (both bias-seeded convolution forwards, the first convolution's
+/// weight gradient).
+const MATMUL_SHAPES: [(usize, usize, usize, bool); 7] = [
+    (32, 784, 256, false),
+    (256, 32, 784, false),
+    (32, 256, 128, false),
+    (32, 128, 10, false),
+    (256, 27, 12, true),
+    (64, 108, 24, true),
+    (12, 256, 27, false),
+];
+
+/// The operation order the kernel must reproduce, written out plainly:
+/// seed `+0.0` or `bias + 0.0`, then `kk` ascending, skipping `a == 0`,
+/// `o = o + a·b`.
+fn ikj_matmul(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, bias: &[f32]) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        let row = &mut out[i * n..(i + 1) * n];
+        for (j, o) in row.iter_mut().enumerate() {
+            *o = bias.get(j).map_or(0.0, |&v| v + 0.0);
+        }
+        for kk in 0..k {
+            let aik = a[i * k + kk];
+            if aik != 0.0 {
+                for (j, o) in row.iter_mut().enumerate() {
+                    *o += aik * b[kk * n + j];
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Per-ISA µs per mat-mul call at [`MATMUL_SHAPES`], for a dense `a` and
+/// for a ReLU-like `a` (about half its entries zero, as the activations
+/// and gradients training multiplies are).  Each (shape, operand, ISA)
+/// cell is gated bit for bit on [`ikj_matmul`] before it is timed.
+fn matmul_kernel_report(isas: &[SimdBackend]) {
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+    };
+    let mut entries: Vec<(String, f64)> = Vec::new();
+    println!("\n==== Mat-mul kernel (training and convolution shapes, per ISA) ====");
+    println!(
+        "{:<20}{:<8}{:<10}{:>12}",
+        "m x k x n", "a", "backend", "us/call"
+    );
+    for (m, k, n, seeded) in MATMUL_SHAPES {
+        let b: Vec<f32> = (0..k * n).map(|_| next()).collect();
+        let bias: Vec<f32> = if seeded {
+            (0..n).map(|_| next()).collect()
+        } else {
+            Vec::new()
+        };
+        for operand in ["dense", "relu"] {
+            let a: Vec<f32> = (0..m * k)
+                .map(|_| match operand {
+                    "dense" => next(),
+                    _ => next().max(0.0),
+                })
+                .collect();
+            let reference: Vec<u32> = ikj_matmul(&a, m, k, &b, n, &bias)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let mut out = vec![0.0f32; m * n];
+            let run = |isa: SimdBackend, out: &mut [f32]| {
+                if seeded {
+                    matmul_sparse_slices_with(isa, &a, m, k, &b, n, &bias, out);
+                } else {
+                    matmul_slices_with(isa, &a, m, k, &b, n, out);
+                }
+            };
+            for &isa in isas {
+                out.fill(f32::NAN);
+                run(isa, &mut out);
+                let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(
+                    got,
+                    reference,
+                    "{} mat-mul {m}x{k}x{n} ({operand}) diverged from the ikj loop",
+                    isa.name()
+                );
+            }
+            let rates = best_rates(isas, 1, || {
+                run(nrsnn_tensor::simd::active_backend(), &mut out);
+                black_box(&out);
+            });
+            for (isa, rate) in rates {
+                let us = 1e6 / rate;
+                let shape = format!("{m}x{k}x{n}");
+                println!("{:<20}{:<8}{:<10}{:>12.2}", shape, operand, isa.name(), us);
+                entries.push((format!("matmul_{shape}_{operand}_{}_us", isa.name()), us));
+            }
+        }
+    }
+    let borrowed: Vec<(&str, f64)> = entries.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    record_bench_summary("matmul_kernel", &borrowed);
+}
+
 fn bench(c: &mut Criterion) {
     let w = workload();
     throughput_report(&w);
+    let previous = nrsnn_tensor::simd::active_backend();
+    matmul_kernel_report(&available_backends());
+    assert_eq!(set_backend(previous), previous);
     simd_throughput_report();
 
     let mut group = c.benchmark_group("sim_throughput");

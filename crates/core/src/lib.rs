@@ -94,6 +94,7 @@ mod robust;
 
 pub use error::NrsnnError;
 pub use model::{build_model, ModelKind};
+pub use nrsnn_dnn::LayerDescriptor;
 pub use nrsnn_runtime::ParallelConfig;
 pub use pipeline::{PipelineConfig, TrainedPipeline};
 pub use robust::{RobustSnn, RobustSnnBuilder};

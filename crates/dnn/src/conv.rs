@@ -107,6 +107,59 @@ impl Conv2d {
     fn out_features(&self) -> usize {
         self.out_channels * self.geometry.out_positions()
     }
+
+    /// The backward pass: accumulates dW and db over the batch and, when
+    /// `input_grad` is set, returns the gradient with respect to the input
+    /// (`batch × in_len`, row-major; empty otherwise).
+    fn backprop(&mut self, grad_output: &Tensor, input_grad: bool) -> Result<Vec<f32>> {
+        if self.cached_cols.is_empty() {
+            return Err(DnnError::BackwardBeforeForward {
+                layer: self.name.clone(),
+            });
+        }
+        let batch = grad_output.dims()[0];
+        let positions = self.geometry.out_positions();
+        let in_len = self.geometry.in_len();
+        let mut grad_input = if input_grad {
+            vec![0.0f32; batch * in_len]
+        } else {
+            Vec::new()
+        };
+        let gv = grad_output.as_slice();
+        for b in 0..batch {
+            // Reassemble grad for this sample as (positions x out_ch).
+            let mut g = vec![0.0f32; positions * self.out_channels];
+            for c in 0..self.out_channels {
+                for p in 0..positions {
+                    g[p * self.out_channels + c] = gv[b * self.out_features() + c * positions + p];
+                }
+            }
+            let g = Tensor::from_vec(g, &[positions, self.out_channels])?;
+            let cols = &self.cached_cols[b];
+            // dW += gᵀ (out_ch x positions) · cols (positions x patch)
+            let gt = transpose(&g)?;
+            let dw = matmul(&gt, cols)?;
+            self.grad_weights.add_scaled_inplace(&dw, 1.0)?;
+            // db += column sums of g
+            let gb = self.grad_bias.as_mut_slice();
+            let gvs = g.as_slice();
+            for p in 0..positions {
+                for c in 0..self.out_channels {
+                    gb[c] += gvs[p * self.out_channels + c];
+                }
+            }
+            if input_grad {
+                // dcols = g (positions x out_ch) · W (out_ch x patch)
+                let dcols = matmul(&g, &self.weights)?;
+                let dinput = col2im(&dcols, &self.geometry)?;
+                let dst = &mut grad_input[b * in_len..(b + 1) * in_len];
+                for (d, &s) in dst.iter_mut().zip(dinput.as_slice()) {
+                    *d += s;
+                }
+            }
+        }
+        Ok(grad_input)
+    }
 }
 
 impl Layer for Conv2d {
@@ -161,49 +214,15 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        if self.cached_cols.is_empty() {
-            return Err(DnnError::BackwardBeforeForward {
-                layer: self.name.clone(),
-            });
-        }
-        let batch = grad_output.dims()[0];
-        let positions = self.geometry.out_positions();
-        let mut grad_input = vec![0.0f32; batch * self.geometry.in_len()];
-        let gv = grad_output.as_slice();
-        for b in 0..batch {
-            // Reassemble grad for this sample as (positions x out_ch).
-            let mut g = vec![0.0f32; positions * self.out_channels];
-            for c in 0..self.out_channels {
-                for p in 0..positions {
-                    g[p * self.out_channels + c] = gv[b * self.out_features() + c * positions + p];
-                }
-            }
-            let g = Tensor::from_vec(g, &[positions, self.out_channels])?;
-            let cols = &self.cached_cols[b];
-            // dW += gᵀ (out_ch x positions) · cols (positions x patch)
-            let gt = transpose(&g)?;
-            let dw = matmul(&gt, cols)?;
-            self.grad_weights.add_scaled_inplace(&dw, 1.0)?;
-            // db += column sums of g
-            let gb = self.grad_bias.as_mut_slice();
-            let gvs = g.as_slice();
-            for p in 0..positions {
-                for c in 0..self.out_channels {
-                    gb[c] += gvs[p * self.out_channels + c];
-                }
-            }
-            // dcols = g (positions x out_ch) · W (out_ch x patch)
-            let dcols = matmul(&g, &self.weights)?;
-            let dinput = col2im(&dcols, &self.geometry)?;
-            let dst = &mut grad_input[b * self.geometry.in_len()..(b + 1) * self.geometry.in_len()];
-            for (d, &s) in dst.iter_mut().zip(dinput.as_slice()) {
-                *d += s;
-            }
-        }
+        let grad_input = self.backprop(grad_output, true)?;
         Ok(Tensor::from_vec(
             grad_input,
-            &[batch, self.geometry.in_len()],
+            &[grad_output.dims()[0], self.geometry.in_len()],
         )?)
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        self.backprop(grad_output, false).map(drop)
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Tensor, &Tensor)) {
@@ -212,8 +231,8 @@ impl Layer for Conv2d {
     }
 
     fn zero_grad(&mut self) {
-        self.grad_weights = Tensor::zeros(&[self.out_channels, self.geometry.patch_len()]);
-        self.grad_bias = Tensor::zeros(&[self.out_channels]);
+        self.grad_weights.as_mut_slice().fill(0.0);
+        self.grad_bias.as_mut_slice().fill(0.0);
     }
 
     fn descriptor(&self) -> Option<LayerDescriptor> {

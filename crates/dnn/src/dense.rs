@@ -121,7 +121,8 @@ impl Layer for Dense {
         }
         // Wᵀ into the layer's reused scratch, then x·Wᵀ — the same kernels
         // (hence the same values) as `matmul(input, &transpose(&self.weights)?)`.
-        self.scratch_wt.clear();
+        // The transpose overwrites every element, so the scratch is only
+        // sized (once), never cleared.
         self.scratch_wt
             .resize(self.in_features * self.out_features, 0.0);
         transpose_slices(
@@ -151,13 +152,19 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+        self.backward_params(grad_output)?;
+        // dx = grad · W
+        Ok(matmul(grad_output, &self.weights)?)
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
         let input = self
             .cached_input
             .as_ref()
             .ok_or_else(|| DnnError::BackwardBeforeForward {
                 layer: self.name.clone(),
             })?;
-        // dW = gradᵀ · x, db = Σ_batch grad, dx = grad · W
+        // dW = gradᵀ · x, db = Σ_batch grad
         let grad_t = transpose(grad_output)?;
         let dw = matmul(&grad_t, input)?;
         self.grad_weights.add_scaled_inplace(&dw, 1.0)?;
@@ -170,8 +177,7 @@ impl Layer for Dense {
                 gb[j] += gv[b * self.out_features + j];
             }
         }
-        let dx = matmul(grad_output, &self.weights)?;
-        Ok(dx)
+        Ok(())
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Tensor, &Tensor)) {
@@ -180,8 +186,8 @@ impl Layer for Dense {
     }
 
     fn zero_grad(&mut self) {
-        self.grad_weights = Tensor::zeros(&[self.out_features, self.in_features]);
-        self.grad_bias = Tensor::zeros(&[self.out_features]);
+        self.grad_weights.as_mut_slice().fill(0.0);
+        self.grad_bias.as_mut_slice().fill(0.0);
     }
 
     fn descriptor(&self) -> Option<LayerDescriptor> {

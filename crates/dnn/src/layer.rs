@@ -20,7 +20,8 @@ pub enum Mode {
 /// (`batch_size x features`).
 ///
 /// Layers cache whatever they need during [`Layer::forward`] so that a
-/// subsequent [`Layer::backward`] can compute gradients; `backward` must be
+/// subsequent [`Layer::backward`] (or, for the first layer of a network,
+/// [`Layer::backward_params`]) can compute gradients; both must be
 /// preceded by a `forward` call in [`Mode::Train`].
 pub trait Layer: Send + Sync {
     /// Short human-readable name (used in error messages and serialization).
@@ -46,6 +47,22 @@ pub trait Layer: Send + Sync {
     /// Returns [`crate::DnnError::BackwardBeforeForward`] if no forward pass
     /// was cached.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor>;
+
+    /// The parameter-only backward pass: accumulates exactly the parameter
+    /// gradients [`Layer::backward`] would, bit for bit, but not the
+    /// gradient with respect to the layer input.
+    ///
+    /// [`crate::Sequential::backward`] calls this on the first layer, whose
+    /// input gradient nothing reads.  The default runs `backward` and drops
+    /// its result; layers whose input gradient costs real work override it
+    /// ([`crate::Dense`] skips `grad · W`, [`crate::Conv2d`] the per-sample
+    /// patch-gradient product and `col2im`).
+    ///
+    /// # Errors
+    /// As [`Layer::backward`].
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        self.backward(grad_output).map(drop)
+    }
 
     /// Visits every `(parameter, gradient)` pair of the layer, in a stable
     /// order, so an optimizer can update the parameters in place.

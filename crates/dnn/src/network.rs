@@ -123,16 +123,24 @@ impl Sequential {
         self.forward(input, Mode::Infer)
     }
 
-    /// Back-propagates a loss gradient through every layer.
+    /// Back-propagates a loss gradient through every layer, accumulating
+    /// each layer's parameter gradients.
+    ///
+    /// Returns `()`: the first layer runs [`Layer::backward_params`], since
+    /// the gradient with respect to the network input is never read, so it
+    /// is never computed.
     ///
     /// # Errors
     /// Propagates layer errors.
-    pub fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g)?;
+    pub fn backward(&mut self, grad_output: &Tensor) -> Result<()> {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(());
+        };
+        let mut g: Option<Tensor> = None;
+        for layer in rest.iter_mut().rev() {
+            g = Some(layer.backward(g.as_ref().unwrap_or(grad_output))?);
         }
-        Ok(g)
+        first.backward_params(g.as_ref().unwrap_or(grad_output))
     }
 
     /// Clears accumulated gradients in every layer.
@@ -284,9 +292,12 @@ impl Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Dense, Dropout, Relu, Sgd};
+    use crate::{Conv2d, Dense, Dropout, Relu, Sgd};
+    use nrsnn_tensor::Conv2dGeometry;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn xor_dataset() -> (Tensor, Vec<usize>) {
         // XOR-like separable task with a margin so a small MLP can learn it.
@@ -416,6 +427,141 @@ mod tests {
             n
         };
         assert_eq!(net.param_count(), (3 * 5 + 5) + (5 * 2 + 2));
+    }
+
+    /// Bits of every parameter gradient, in `visit_params` order.
+    fn gradient_bits(net: &mut Sequential) -> Vec<Vec<u32>> {
+        let mut bits = Vec::new();
+        net.visit_params(&mut |_, grad| {
+            bits.push(grad.as_slice().iter().map(|v| v.to_bits()).collect());
+        });
+        bits
+    }
+
+    /// `Sequential::backward`, whose first layer computes parameter
+    /// gradients only, against every layer's full `Layer::backward`.
+    fn assert_first_layer_params_match_full_backward(build: impl Fn() -> Sequential, x: &Tensor) {
+        let labels: Vec<usize> = (0..x.dims()[0]).map(|i| i % 3).collect();
+        let loss = SoftmaxCrossEntropy::new();
+        let (mut params_only, mut full) = (build(), build());
+        let mut grads = Vec::new();
+        for net in [&mut params_only, &mut full] {
+            net.zero_grad();
+            let logits = net.forward(x, Mode::Train).unwrap();
+            grads.push(loss.loss_and_grad(&logits, &labels).unwrap().1);
+        }
+        params_only.backward(&grads[0]).unwrap();
+        let mut g = grads[1].clone();
+        for layer in full.layers.iter_mut().rev() {
+            g = layer.backward(&g).unwrap();
+        }
+        let got = gradient_bits(&mut params_only);
+        assert!(!got.is_empty());
+        assert_eq!(got, gradient_bits(&mut full));
+    }
+
+    #[test]
+    fn backward_leaves_the_parameter_gradients_of_full_backward() {
+        let x = Tensor::from_vec(
+            (0..5 * 48)
+                .map(|i| {
+                    if i % 7 == 0 {
+                        0.0
+                    } else {
+                        ((i * 13) % 17) as f32 / 17.0 - 0.3
+                    }
+                })
+                .collect(),
+            &[5, 48],
+        )
+        .unwrap();
+        assert_first_layer_params_match_full_backward(
+            || {
+                let mut rng = StdRng::seed_from_u64(5);
+                let mut net = Sequential::new();
+                net.push(Dense::new(&mut rng, 48, 20).unwrap());
+                net.push(Relu::new());
+                net.push(Dense::new(&mut rng, 20, 3).unwrap());
+                net
+            },
+            &x,
+        );
+        assert_first_layer_params_match_full_backward(
+            || {
+                let mut rng = StdRng::seed_from_u64(6);
+                let geometry = Conv2dGeometry::new(3, 4, 4, 3, 1, 1).unwrap();
+                let mut net = Sequential::new();
+                net.push(Conv2d::new(&mut rng, geometry, 9).unwrap());
+                net.push(Relu::new());
+                net.push(Dense::new(&mut rng, 9 * 16, 3).unwrap());
+                net
+            },
+            &x,
+        );
+    }
+
+    /// A first layer whose input gradient must never be asked for: its
+    /// full `backward` panics, its parameter-only pass counts calls.
+    struct ParamsOnlyFirst {
+        calls: Arc<AtomicUsize>,
+    }
+
+    impl Layer for ParamsOnlyFirst {
+        fn name(&self) -> &str {
+            "params_only_first"
+        }
+
+        fn input_width(&self) -> Option<usize> {
+            None
+        }
+
+        fn output_width(&self) -> Option<usize> {
+            None
+        }
+
+        fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor> {
+            Ok(input.clone())
+        }
+
+        fn backward(&mut self, _grad_output: &Tensor) -> Result<Tensor> {
+            panic!("the first layer's input gradient was computed");
+        }
+
+        fn backward_params(&mut self, _grad_output: &Tensor) -> Result<()> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn training_never_asks_the_first_layer_for_its_input_gradient() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let calls = Arc::new(AtomicUsize::new(0));
+        let mut net = Sequential::new();
+        net.push(ParamsOnlyFirst {
+            calls: Arc::clone(&calls),
+        });
+        net.push(Dense::new(&mut rng, 2, 16).unwrap());
+        net.push(Relu::new());
+        net.push(Dense::new(&mut rng, 16, 2).unwrap());
+        let (x, y) = xor_dataset();
+        let cfg = TrainConfig {
+            epochs: 3,
+            batch_size: 2,
+            ..TrainConfig::default()
+        };
+        let mut opt = Sgd::new(0.1, 0.0);
+        net.fit(
+            &x,
+            &y,
+            &mut opt,
+            &SoftmaxCrossEntropy::new(),
+            &cfg,
+            &mut rng,
+        )
+        .unwrap();
+        // ORDERING: Relaxed — read after `fit` returned on this thread.
+        assert_eq!(calls.load(Ordering::Relaxed), 3 * 2);
     }
 
     #[test]

@@ -42,17 +42,34 @@ pub fn matvec_slices(a: &[f32], m: usize, n: usize, x: &[f32], out: &mut [f32]) 
     simd::matvec_slices_with(active_backend(), a, m, n, x, out);
 }
 
+/// Side of the square blocks [`transpose_slices`] walks.
+const TRANSPOSE_BLOCK: usize = 16;
+
 /// Raw kernel behind [`transpose`]: writes the transpose of `a (m x n)` into
 /// `out (n x m)`, overwriting it.
 ///
+/// Walks 16×16 blocks, so the 16 rows of `a` a block reads and the 16 rows
+/// of `out` it writes each stay in cache for the whole block, instead of
+/// writing one element per cache line with a stride of `m` floats.  It is
+/// a copy, so the bytes are those of the naive loop.
+///
 /// # Panics
-/// Debug-asserts the slice lengths; callers validate shapes.
+/// Asserts the slice lengths before touching any data.
 pub fn transpose_slices(a: &[f32], m: usize, n: usize, out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * n);
-    debug_assert_eq!(out.len(), m * n);
-    for i in 0..m {
-        for j in 0..n {
-            out[j * m + i] = a[i * n + j];
+    assert_eq!(a.len(), m * n, "transpose: a.len() != m*n");
+    assert_eq!(out.len(), m * n, "transpose: out.len() != m*n");
+    let (src, dst) = (a.as_ptr(), out.as_mut_ptr());
+    for i0 in (0..m).step_by(TRANSPOSE_BLOCK) {
+        let i1 = (i0 + TRANSPOSE_BLOCK).min(m);
+        for j0 in (0..n).step_by(TRANSPOSE_BLOCK) {
+            let j1 = (j0 + TRANSPOSE_BLOCK).min(n);
+            for i in i0..i1 {
+                for j in j0..j1 {
+                    // SAFETY: `i < m` and `j < n`, so `i*n + j` and `j*m + i`
+                    // are below `m*n`, the length of both slices (asserted).
+                    unsafe { *dst.add(j * m + i) = *src.add(i * n + j) };
+                }
+            }
         }
     }
 }
@@ -95,13 +112,13 @@ pub fn matvec_bias_tile_slices(
 /// exact-zero `a[i,k]` entry, so cost is `O(nnz(a)·n + m·n)` instead of
 /// `O(m·k·n)`.
 ///
-/// The accumulators are seeded from the canonicalised bias (`b_j + 0.0`);
-/// skipped terms contribute `(±0.0)·b[k,j] ∈ {+0.0, -0.0}` and are
-/// therefore bitwise no-ops on accumulators that can never be `-0.0`
-/// (given finite `b`; see the `seed_from_bias` notes in [`crate::simd`]'s
-/// kernels).  An empty `bias` means "no
-/// bias" (all accumulators seed from `+0.0`), in which case this is
-/// exactly [`matmul_slices`].
+/// The accumulators are seeded from the canonicalised bias (`b_j + 0.0`)
+/// and take the terms in ascending `k`.  A skipped term is never computed;
+/// on a finite `b` it would have been `(±0.0)·b[k,j] ∈ {+0.0, -0.0}`, a
+/// bitwise no-op on an accumulator that can never be `-0.0` (see the
+/// `seed_from_bias` notes in [`crate::simd`]'s kernels).  An empty `bias`
+/// means "no bias" (all accumulators seed from `+0.0`), in which case this
+/// is exactly [`matmul_slices`].
 ///
 /// # Panics
 /// Asserts the slice lengths before touching any data (the bias must have
@@ -285,6 +302,33 @@ mod tests {
         assert_eq!(t.get(&[2, 1]).unwrap(), 6.0);
         let tt = transpose(&t).unwrap();
         assert_eq!(tt, a);
+    }
+
+    #[test]
+    fn transpose_slices_matches_the_naive_loop() {
+        for (m, n) in [
+            (0, 5),
+            (5, 0),
+            (1, 7),
+            (7, 1),
+            (1, 40),
+            (17, 33),
+            (256, 784),
+        ] {
+            let a: Vec<f32> = (0..m * n).map(|i| i as f32 * 0.5 - 3.0).collect();
+            let mut naive = vec![0.0f32; m * n];
+            for i in 0..m {
+                for j in 0..n {
+                    naive[j * m + i] = a[i * n + j];
+                }
+            }
+            let mut out = vec![f32::NAN; m * n];
+            transpose_slices(&a, m, n, &mut out);
+            assert_eq!(bits(&out), bits(&naive), "{m}x{n}");
+            let mut back = vec![f32::NAN; m * n];
+            transpose_slices(&out, n, m, &mut back);
+            assert_eq!(bits(&back), bits(&a), "{m}x{n} round trip");
+        }
     }
 
     #[test]

@@ -210,16 +210,47 @@ unsafe fn tile_block<V: F32x8, const R: usize, const S: usize>(
     S
 }
 
+/// Columns of `a` one nonzero list covers: [`matmul_generic`] walks each
+/// row of `a` in chunks of this many columns, so the list fits in a stack
+/// array of `u16` offsets.
+const MATMUL_CHUNK: usize = 256;
+const _: () = assert!(MATMUL_CHUNK <= 1 << 16);
+
 /// Mat-mul: `out = seedrow(bias) .+ a·b` where `a` is `m×k`,
 /// `b` is `k×n` and `bias` (empty for "no bias") seeds every output row.
 ///
-/// Vectorised over the output columns in axpy form (`out_block +=
-/// a[i][kk]·b_block`), which keeps the per-element operation order of the
-/// classic `ikj` scalar loop **exactly** — only the machine width changes —
-/// so this kernel is bit-for-bit the historical scalar matmul.  Terms with
-/// `a[i][kk] == 0.0` are skipped; this is a bitwise no-op because every
-/// accumulator starts from `+0.0` or a canonicalised bias and can never be
-/// `-0.0` (see [`seed_from_bias`]).
+/// **Operation order.**  Every output element runs the classic `ikj`
+/// scalar sequence: seed `+0.0` (or `bias[j] + 0.0`), then for `kk`
+/// ascending `acc = acc + a[i][kk]·b[kk][j]` — a multiply, then an add,
+/// never fused — skipping the terms with `a[i][kk] == 0`.  Only the
+/// machine width and the order in which *independent* elements are
+/// computed change, so this kernel is bit for bit the historical scalar
+/// mat-mul on every backend.
+///
+/// **Register tile.**  Each row of `a` is first compacted, branch-free,
+/// into the list of its nonzero columns (per chunk of [`MATMUL_CHUNK`]).
+/// The output row is then computed in panels of [`F32x8::MATMUL_VECS`]
+/// vectors — 1 row × 64 columns on AVX2, 1 × 48 where a vector takes two
+/// registers — whose accumulators stay in registers for the whole list:
+/// each listed `kk` splats `a[i][kk]` once and adds its product with the
+/// panel's block of `b` row `kk` into every vector.  The axpy form this
+/// replaces loaded and stored the output row again for every `kk`.  A width
+/// that is not a multiple of the panel ends with one narrower panel whose
+/// last vector is shifted left to end at column `n`; the columns it shares
+/// with the vector before it are recomputed with the same operations and
+/// rewritten with the same bits.  Widths below 8 run the list per element.
+///
+/// **Exact zero skip.**  Only listed columns are added, so a term with
+/// `a[i][kk] == 0` is never computed, whatever `b[kk][j]` holds.  Skipping
+/// it is the historical order itself, and it matters only where `b` is
+/// `±inf` or NaN: there `(±0)·b` is NaN, while on a finite `b` it is `±0`,
+/// which would leave every accumulator's bits unchanged — an accumulator
+/// starts from `+0.0` or a canonicalised bias (see [`seed_from_bias`]) and
+/// so is never `-0.0`, the one value a `±0` addend could change.  Unlike a
+/// branch per term, the list also costs nothing per skipped term, so a
+/// sparse `a` (ReLU activations, their gradients, im2col padding) takes
+/// time in proportion to its nonzeros.  Between the chunks of a long row,
+/// the partial sums wait in `out` and are reloaded exactly.
 ///
 /// # Safety
 /// Requires `a.len() == m*k`, `b.len() == k*n`, `out.len() == m*n` and
@@ -238,63 +269,175 @@ pub(crate) unsafe fn matmul_generic<V: F32x8>(
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
     debug_assert!(bias.is_empty() || bias.len() == n);
-    let nb = n - (n % BLOCK);
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    let has_bias = !bias.is_empty();
-    let biasp = bias.as_ptr();
+    let t = MatMul {
+        b: b.as_ptr(),
+        n,
+        bias,
+        out: out.as_mut_ptr(),
+    };
+    let mut cols = [0u16; MATMUL_CHUNK];
     for i in 0..m {
-        // SAFETY: `i < m`, so row `i*n..i*n+n` lies inside `out` (len `m*n`).
-        let orow = unsafe { out.as_mut_ptr().add(i * n) };
-        // Seed the output row: canonicalised bias (b_j + 0.0) or +0.0.
-        let mut j = 0usize;
-        while j < nb {
-            let seed = if has_bias {
-                // SAFETY: `j + 8 <= nb <= n == bias.len()` on this branch.
-                unsafe { V::load(biasp.add(j)).add(V::zero()) }
+        let arow = &a[i * k..(i + 1) * k];
+        let mut k0 = 0usize;
+        // One pass even when `k == 0`: it writes the seeds.
+        loop {
+            let k1 = (k0 + MATMUL_CHUNK).min(k);
+            let mut len = 0usize;
+            for (d, &x) in arow[k0..k1].iter().enumerate() {
+                cols[len] = d as u16;
+                len += usize::from(x != 0.0);
+            }
+            let row = Row {
+                i,
+                a: &arow[k0..k1],
+                k0,
+                cols: &cols[..len],
+                resume: k0 > 0,
+            };
+            // SAFETY: `i < m` and `row.a` is row `i`'s `k0..k1` span;
+            // `t` carries this fn's `# Safety` contract.
+            unsafe { matmul_row::<V>(&t, &row) };
+            if k1 == k {
+                break;
+            }
+            k0 = k1;
+        }
+    }
+}
+
+/// The `b` and output operands of one [`matmul_generic`] call, as raw
+/// pointers checked once against its `# Safety` contract.
+struct MatMul<'a> {
+    b: *const f32,
+    n: usize,
+    bias: &'a [f32],
+    out: *mut f32,
+}
+
+/// One chunk of one row of `a`: its values, where the chunk starts, the
+/// offsets of its nonzero values, and whether earlier chunks left partial
+/// sums in the output row.
+struct Row<'a> {
+    i: usize,
+    a: &'a [f32],
+    k0: usize,
+    cols: &'a [u16],
+    resume: bool,
+}
+
+/// Adds one row chunk into output row `row.i`, panel by panel.
+///
+/// # Safety
+/// `row.i < m`, every offset in `row.cols` indexes `row.a`, `row.k0 +
+/// row.a.len() <= k`, and `t` satisfies the [`matmul_generic`] contract.
+#[inline(always)]
+unsafe fn matmul_row<V: F32x8>(t: &MatMul<'_>, row: &Row<'_>) {
+    let n = t.n;
+    if n < BLOCK {
+        for j in 0..n {
+            // SAFETY: `i < m`, `j < n`: inside `out` (len `m*n`).
+            let o = unsafe { t.out.add(row.i * n + j) };
+            let mut acc = if row.resume {
+                // SAFETY: as above; earlier chunks wrote it.
+                unsafe { *o }
             } else {
-                // SAFETY: register-only lane op; the backend is runnable per dispatch.
-                unsafe { V::zero() }
+                t.bias.get(j).map_or(0.0, |&b| seed_from_bias(b))
             };
-            // SAFETY: `j + 8 <= nb <= n` — the block is inside output row `i`.
-            unsafe { seed.store(orow.add(j)) };
-            j += BLOCK;
-        }
-        for j in nb..n {
-            // SAFETY: tail `j < n`, inside output row `i` and (if present) `bias`.
-            unsafe {
-                *orow.add(j) = if has_bias {
-                    seed_from_bias(*biasp.add(j))
-                } else {
-                    0.0
-                }
-            };
-        }
-        for kk in 0..k {
-            // SAFETY: `i < m`, `kk < k`, so the flat index is inside `a` (len `m*k`).
-            let aik = unsafe { *ap.add(i * k + kk) };
-            if aik == 0.0 {
-                continue; // bitwise no-op: accumulators are never -0.0
+            for &d in row.cols {
+                let kk = row.k0 + usize::from(d);
+                // SAFETY: `kk < k` and `j < n`: inside `b` (len `k*n`).
+                acc += row.a[usize::from(d)] * unsafe { *t.b.add(kk * n + j) };
             }
-            // SAFETY: register-only lane op; the backend is runnable per dispatch.
-            let av = unsafe { V::splat(aik) };
-            // SAFETY: `kk < k`, so row `kk*n..kk*n+n` lies inside `b` (len `k*n`).
-            let brow = unsafe { bp.add(kk * n) };
-            let mut j = 0usize;
-            while j < nb {
-                // SAFETY: `j + 8 <= nb <= n` — the block is inside output row `i`.
-                let ov = unsafe { V::load(orow.add(j)) };
-                // SAFETY: `j + 8 <= nb <= n` — the block is inside row `kk` of `b`.
-                let bv = unsafe { V::load(brow.add(j)) };
-                // SAFETY: register mul/add plus a store into the in-bounds block above.
-                unsafe { ov.add(av.mul(bv)).store(orow.add(j)) };
-                j += BLOCK;
-            }
-            for j in nb..n {
-                // SAFETY: tail `j < n`, inside both the output row and row `kk` of `b`.
-                unsafe { *orow.add(j) += aik * *brow.add(j) };
+            // SAFETY: as above.
+            unsafe { *o = acc };
+        }
+        return;
+    }
+    let wide = V::MATMUL_VECS * BLOCK;
+    let mut j = 0usize;
+    while j + wide <= n {
+        let last = j + wide - BLOCK;
+        // SAFETY: columns `j..j+wide` lie inside `0..n`; the rest of the
+        // panel contract is this fn's.
+        unsafe {
+            match V::MATMUL_VECS {
+                8 => matmul_panel::<V, 8>(t, row, j, last),
+                6 => matmul_panel::<V, 6>(t, row, j, last),
+                _ => matmul_panel::<V, 4>(t, row, j, last),
             }
         }
+        j += wide;
+    }
+    if j < n {
+        // The rest in ceil((n - j) / 8) <= MATMUL_VECS <= 8 vectors, the
+        // last one ending at `n`.
+        let last = n - BLOCK;
+        // SAFETY: the leading vectors' columns `j + 8q` end before `n`, the
+        // last one's `n - 8..n` (`n >= 8`) lie inside `0..n`; the rest of
+        // the panel contract is this fn's.
+        unsafe {
+            match (n - j).div_ceil(BLOCK) {
+                1 => matmul_panel::<V, 1>(t, row, j, last),
+                2 => matmul_panel::<V, 2>(t, row, j, last),
+                3 => matmul_panel::<V, 3>(t, row, j, last),
+                4 => matmul_panel::<V, 4>(t, row, j, last),
+                5 => matmul_panel::<V, 5>(t, row, j, last),
+                6 => matmul_panel::<V, 6>(t, row, j, last),
+                7 => matmul_panel::<V, 7>(t, row, j, last),
+                _ => matmul_panel::<V, 8>(t, row, j, last),
+            }
+        }
+    }
+}
+
+/// One panel of output row `row.i`: `NV` vectors at columns `j + 8q`, the
+/// last one at `last` instead, accumulated in registers over the chunk's
+/// nonzero list, then stored.
+///
+/// # Safety
+/// As [`matmul_row`], plus `j + 8(NV-1) <= n` and `last + 8 <= n`.
+#[inline(always)]
+unsafe fn matmul_panel<V: F32x8, const NV: usize>(
+    t: &MatMul<'_>,
+    row: &Row<'_>,
+    j: usize,
+    last: usize,
+) {
+    let col = |q: usize| if q + 1 == NV { last } else { j + q * BLOCK };
+    // SAFETY: `i < m`: row `i` of `out` starts inside it.
+    let orow = unsafe { t.out.add(row.i * t.n) };
+    // SAFETY: register-only lane op; the backend is runnable per dispatch.
+    let mut acc = [unsafe { V::zero() }; NV];
+    for (q, v) in acc.iter_mut().enumerate() {
+        // SAFETY: `col(q) + 8 <= n`: the block lies inside output row `i`
+        // and (if present) `bias`; register-only lane ops otherwise.
+        *v = unsafe {
+            if row.resume {
+                V::load(orow.add(col(q)))
+            } else if t.bias.is_empty() {
+                V::zero()
+            } else {
+                V::load(t.bias.as_ptr().add(col(q))).add(V::zero())
+            }
+        };
+    }
+    let ap = row.a.as_ptr();
+    for &d in row.cols {
+        let d = usize::from(d);
+        // SAFETY: every listed offset indexes `row.a` (caller contract);
+        // register-only lane op, the backend is runnable per dispatch.
+        let av = unsafe { V::splat(*ap.add(d)) };
+        // SAFETY: `k0 + d < k`: row `k0 + d` of `b` starts inside it.
+        let brow = unsafe { t.b.add((row.k0 + d) * t.n) };
+        for (q, v) in acc.iter_mut().enumerate() {
+            // SAFETY: `col(q) + 8 <= n`: the block lies inside that row of
+            // `b`; register-only lane ops otherwise.
+            *v = unsafe { v.add(av.mul(V::load(brow.add(col(q))))) };
+        }
+    }
+    for (q, v) in acc.iter().enumerate() {
+        // SAFETY: `col(q) + 8 <= n`: the block lies inside output row `i`.
+        unsafe { v.store(orow.add(col(q))) };
     }
 }
 

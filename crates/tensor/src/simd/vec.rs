@@ -39,6 +39,14 @@ pub(crate) trait F32x8: Copy {
     /// one vector takes two `xmm` halves.  The shape never changes a bit,
     /// only how many accumulator chains are in flight.
     const TILE_SAMPLES: usize;
+    /// Vectors per panel of one output row in the mat-mul (see
+    /// `kernels::matmul_generic`): a panel keeps `MATMUL_VECS`
+    /// accumulators, a splat of `a` and a load of `b` live for a whole
+    /// list of nonzero terms, and needs enough independent accumulators to
+    /// hide the add latency.  8 on AVX2 (64 columns, 10 of 16 `ymm`); 6
+    /// where one vector takes two `xmm` halves (48 columns, 14 of 16
+    /// `xmm`).  Like `TILE_SAMPLES`, the width never changes a bit.
+    const MATMUL_VECS: usize;
     /// All lanes `+0.0`.
     ///
     /// # Safety
@@ -149,6 +157,7 @@ pub(crate) struct ScalarV([f32; 8]);
 
 impl F32x8 for ScalarV {
     const TILE_SAMPLES: usize = 2;
+    const MATMUL_VECS: usize = 6;
 
     // SAFETY: trivially safe — plain arithmetic on owned lanes; `unsafe`
     // only to match the trait signature.
@@ -377,6 +386,7 @@ mod x86 {
 
     impl F32x8 for Sse2V {
         const TILE_SAMPLES: usize = 2;
+        const MATMUL_VECS: usize = 6;
 
         // SAFETY: register-only lane arithmetic, no memory access; SSE2 is part of the
         // x86_64 baseline, so the intrinsics are always available here.
@@ -537,6 +547,7 @@ mod x86 {
 
     impl F32x8 for Avx2V {
         const TILE_SAMPLES: usize = 4;
+        const MATMUL_VECS: usize = 8;
 
         // SAFETY: register-only lane arithmetic, no memory access; the dispatch layer
         // verified AVX2 support before selecting this backend.

@@ -133,17 +133,6 @@ impl Tensor {
         Ok(())
     }
 
-    /// Reuses this tensor as a zero-filled tensor of the given shape,
-    /// keeping the underlying buffer's capacity, and returns the data for
-    /// in-place filling.
-    pub fn reset_zeroed(&mut self, dims: &[usize]) -> &mut [f32] {
-        let shape = Shape::new(dims);
-        self.data.clear();
-        self.data.resize(shape.len(), 0.0);
-        self.shape = shape;
-        &mut self.data
-    }
-
     /// Reinterprets the tensor with a new shape holding the same number of
     /// elements.
     ///
@@ -404,12 +393,6 @@ impl Tensor {
     }
 }
 
-impl Default for Tensor {
-    fn default() -> Self {
-        Tensor::zeros(&[0])
-    }
-}
-
 // Hand-written (de)serialization over the shim serde data model (the derive
 // on `Tensor` is a no-op under the offline shims — see shims/README.md).
 // Format: `{"shape": [d0, d1, ..], "data": [..]}`.
@@ -521,18 +504,6 @@ mod tests {
         assert_eq!(t.percentile(0.0), 0.0);
         assert_eq!(t.percentile(100.0), 10.0);
         assert_eq!(t.percentile(50.0), 5.0);
-    }
-
-    #[test]
-    fn reset_zeroed_reshapes_and_keeps_capacity() {
-        let mut t = Tensor::from_slice(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let cap = t.data.capacity();
-        let data = t.reset_zeroed(&[2, 2]);
-        assert_eq!(data, &[0.0; 4]);
-        data[3] = 7.0;
-        assert_eq!(t.dims(), &[2, 2]);
-        assert_eq!(t.get(&[1, 1]).unwrap(), 7.0);
-        assert!(t.data.capacity() >= 4 && cap >= t.data.capacity());
     }
 
     #[test]

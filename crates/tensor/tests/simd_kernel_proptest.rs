@@ -229,6 +229,101 @@ fn matmul_every_isa_matches_scalar_bitwise() {
     }
 }
 
+/// The plain `ikj` mat-mul that defines the kernel's operation order, written
+/// out independently of it: every output seeded `+0.0` (or `bias + 0.0`),
+/// then `kk` ascending, skipping `a == 0` terms, `o = o + a·b` (multiply,
+/// then add; Rust never fuses the two).
+fn ikj_reference(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, bias: &[f32]) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        let row = &mut out[i * n..(i + 1) * n];
+        for (j, o) in row.iter_mut().enumerate() {
+            *o = if bias.is_empty() { 0.0 } else { bias[j] + 0.0 };
+        }
+        for kk in 0..k {
+            let aik = a[i * k + kk];
+            if aik == 0.0 {
+                continue;
+            }
+            for (j, o) in row.iter_mut().enumerate() {
+                *o += aik * b[kk * n + j];
+            }
+        }
+    }
+    out
+}
+
+/// Bitwise equality, except that any NaN matches any NaN: when two NaNs
+/// meet in an add, which payload survives depends on the operand order the
+/// compiler picked, which nothing pins.  A NaN where the reference has a
+/// number (an unskipped `0·inf`) still fails.
+fn assert_same_bits(got: &[f32], want: &[f32], context: &str) {
+    assert_eq!(got.len(), want.len(), "{context}: length");
+    for (idx, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!(
+            g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+            "{context}: element {idx} is {g:?} ({:#010x}), reference {w:?} ({:#010x})",
+            g.to_bits(),
+            w.to_bits()
+        );
+    }
+}
+
+/// Every backend's mat-mul, scalar included, against [`ikj_reference`],
+/// plain and bias-seeded: m in 0..=9, widths from [`SHAPES`] (one panel
+/// and its shifted last vector) and, every fourth case, past one 64-column
+/// panel, depths past the kernel's 256-column chunks every sixth case,
+/// zero-heavy `a` with both zero signs, and `b` rows holding ±inf and NaN
+/// where `a` has zeros — there a `0·inf` term must be skipped, not added.
+#[test]
+fn matmul_every_isa_matches_ikj_reference() {
+    let mut rng = rng_for("matmul_every_isa_matches_ikj_reference");
+    const NON_FINITE: [f32; 3] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    const WIDE: [usize; 6] = [63, 64, 65, 71, 100, 129];
+    const DEEP: [usize; 6] = [255, 256, 257, 300, 513, 784];
+    for case in 0..CASES as usize {
+        let m = case % 10;
+        let k = if case % 6 == 5 {
+            DEEP[rng.gen_range(0..DEEP.len())]
+        } else {
+            draw_shape(&mut rng)
+        };
+        let n = if case % 4 == 3 {
+            WIDE[rng.gen_range(0..WIDE.len())]
+        } else {
+            draw_shape(&mut rng)
+        };
+        let a = draw_vec(&mut rng, m * k, true);
+        let mut b = draw_vec(&mut rng, k * n, false);
+        if case % 2 == 0 && n > 0 {
+            // Poison a few rows of `b` that some row of `a` multiplies by
+            // zero.
+            for kk in 0..k {
+                if (0..m).any(|i| a[i * k + kk] == 0.0) && rng.gen_range(0.0f32..1.0) < 0.3 {
+                    let j = rng.gen_range(0..n);
+                    b[kk * n + j] = NON_FINITE[rng.gen_range(0..NON_FINITE.len())];
+                }
+            }
+        }
+        let mut bias: Vec<f32> = (0..n).map(|_| draw_value(&mut rng, true)).collect();
+        if n > 0 {
+            bias[rng.gen_range(0..n)] = -0.0;
+        }
+        let plain = ikj_reference(&a, m, k, &b, n, &[]);
+        let seeded = ikj_reference(&a, m, k, &b, n, &bias);
+        for isa in available_backends() {
+            let mut out = vec![f32::NAN; m * n];
+            matmul_slices_with(isa, &a, m, k, &b, n, &mut out);
+            assert_same_bits(&out, &plain, &format!("{isa:?} m={m} k={k} n={n}"));
+            if n > 0 {
+                let mut out = vec![f32::NAN; m * n];
+                matmul_sparse_slices_with(isa, &a, m, k, &b, n, &bias, &mut out);
+                assert_same_bits(&out, &seeded, &format!("{isa:?} biased m={m} k={k} n={n}"));
+            }
+        }
+    }
+}
+
 #[test]
 fn im2col_every_isa_matches_scalar_bitwise() {
     let mut rng = rng_for("im2col_every_isa_matches_scalar_bitwise");

@@ -17,11 +17,6 @@ pub struct ByteWriter {
 }
 
 impl ByteWriter {
-    /// Creates an empty writer.
-    pub fn new() -> Self {
-        ByteWriter::default()
-    }
-
     /// Creates a writer with pre-reserved capacity.
     pub fn with_capacity(capacity: usize) -> Self {
         ByteWriter {
@@ -29,24 +24,9 @@ impl ByteWriter {
         }
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Returns `true` if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Consumes the writer and returns the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// A view of the bytes written so far.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.buf
     }
 
     /// Appends one raw byte.
@@ -242,7 +222,7 @@ mod tests {
 
     #[test]
     fn scalars_round_trip_bitwise() {
-        let mut w = ByteWriter::new();
+        let mut w = ByteWriter::default();
         w.put_u8(0xAB);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 3);
@@ -267,7 +247,7 @@ mod tests {
 
     #[test]
     fn strings_round_trip_and_reject_bad_utf8() {
-        let mut w = ByteWriter::new();
+        let mut w = ByteWriter::default();
         w.put_str("hëllo wïre").unwrap();
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);

@@ -30,7 +30,8 @@
 
 use std::io::{Read, Write};
 
-use crate::{ByteReader, ByteWriter, Result, WireError};
+use crate::bytes::{ByteReader, ByteWriter};
+use crate::{Result, WireError};
 
 /// First byte of every binary frame.  Must never equal `b'{'` (0x7B): the
 /// TCP front-end distinguishes binary from JSON by this byte alone.
@@ -780,14 +781,14 @@ mod tests {
         );
         // Payload longer than its body: the tag decodes, the extra byte
         // inside the announced payload is trailing.
-        let mut w = ByteWriter::new();
+        let mut w = ByteWriter::default();
         w.put_u8(FRAME_MAGIC);
         w.put_u8(WIRE_VERSION);
         w.put_u32(2);
         w.put_u8(TAG_PING_REQUEST);
         w.put_u8(0xEE);
         assert_eq!(
-            decode_frame(w.as_slice()),
+            decode_frame(&w.into_bytes()),
             Err(WireError::TrailingBytes { count: 1 })
         );
     }

@@ -49,7 +49,6 @@ mod bytes;
 pub mod frame;
 pub mod model;
 
-pub use bytes::{ByteReader, ByteWriter};
 pub use frame::{
     decode_frame, decode_payload, encode_frame, encode_payload, read_frame, write_frame, Frame,
     FrameHeader, StageLatencyBody, StatsBody, TraceBody, TraceSpanBody, FRAME_HEADER_LEN,

@@ -33,7 +33,8 @@ use nrsnn_dnn::NetworkWeights;
 use nrsnn_snn::CodingKind;
 use nrsnn_tensor::Tensor;
 
-use crate::{ByteReader, ByteWriter, Result, WireError};
+use crate::bytes::{ByteReader, ByteWriter};
+use crate::{Result, WireError};
 
 /// Four-byte preamble of every binary model file.
 pub const MODEL_MAGIC: [u8; 4] = *b"NRSM";

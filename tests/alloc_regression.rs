@@ -15,7 +15,7 @@ use std::cell::Cell;
 use nrsnn::prelude::*;
 use nrsnn_runtime::derive_seed;
 use nrsnn_snn::{SnnLayer, SnnNetwork};
-use nrsnn_tensor::Tensor;
+use nrsnn_tensor::{Conv2dGeometry, Pool2dGeometry, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -103,10 +103,55 @@ fn build_inputs(samples: usize, width: usize) -> Tensor {
     Tensor::from_vec(data, &[samples, width]).unwrap()
 }
 
+/// A deterministic Conv → AvgPool → Linear network whose convolution has
+/// 70 output channels: its mat-mul runs a full-width register panel (64
+/// columns on AVX2, 48 where a vector takes two registers) and then a
+/// narrower one whose last vector is shifted to end at column 70, not only
+/// the narrow-width path of the few-channel test networks.
+fn build_conv_network() -> SnnNetwork {
+    const CHANNELS: usize = 70;
+    let fill = |rows: usize, cols: usize, scale: f32| -> Tensor {
+        let data: Vec<f32> = (0..rows * cols)
+            .map(|i| ((i * 29 + 3) % 17) as f32 / 17.0 * scale - scale / 4.0)
+            .collect();
+        Tensor::from_vec(data, &[rows, cols]).unwrap()
+    };
+    // 2x4x4 input -> conv(70ch, k3, s2, p1) -> 70x2x2 -> avgpool(2x2) ->
+    // 70x1x1 -> linear -> 6 logits.
+    let conv_geom = Conv2dGeometry::new(2, 4, 4, 3, 2, 1).unwrap();
+    let pool_geom = Pool2dGeometry::new(CHANNELS, 2, 2, 2, 2).unwrap();
+    let bias = (0..CHANNELS).map(|c| c as f32 * 0.002 - 0.05).collect();
+    SnnNetwork::new(vec![
+        SnnLayer::Conv {
+            weights: fill(CHANNELS, conv_geom.patch_len(), 0.5),
+            bias: Tensor::from_vec(bias, &[CHANNELS]).unwrap(),
+            geometry: conv_geom,
+        },
+        SnnLayer::AvgPool {
+            geometry: pool_geom,
+        },
+        SnnLayer::Linear {
+            weights: fill(6, pool_geom.out_len(), 0.7),
+            bias: Tensor::zeros(&[6]),
+        },
+    ])
+    .unwrap()
+}
+
 #[test]
 fn steady_state_simulate_batch_allocates_zero_per_sample() {
-    let network = build_network(24, 18, 6);
-    let inputs = build_inputs(32, 24);
+    assert_steady_state_allocates_zero(&build_network(24, 18, 6), &build_inputs(32, 24));
+}
+
+#[test]
+fn steady_state_conv_simulate_batch_allocates_zero_per_sample() {
+    assert_steady_state_allocates_zero(&build_conv_network(), &build_inputs(32, 32));
+}
+
+/// Simulates the 32 rows of `inputs` as one batch under every coding and
+/// noise model: the warm-up pass allocates, the two passes after it
+/// allocate nothing and reproduce the warm-up's outcomes.
+fn assert_steady_state_allocates_zero(network: &SnnNetwork, inputs: &Tensor) {
     let cfg = CodingConfig::new(64, 1.0);
     let seed = 2468u64;
 
@@ -149,7 +194,7 @@ fn steady_state_simulate_batch_allocates_zero_per_sample() {
             let run = |ws: &mut SimWorkspace, out: &mut Vec<BatchOutcome>| {
                 network
                     .simulate_batch(
-                        &inputs,
+                        inputs,
                         0..32,
                         coding.as_ref(),
                         &cfg,

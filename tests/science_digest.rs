@@ -5,7 +5,10 @@
 //! This test trains the tiny MLP pipeline of `tests/end_to_end.rs`, runs a
 //! deletion sweep with weight scaling and a jitter sweep over all five
 //! codings, and compares every point's accuracy and spike count with the
-//! committed `tests/golden/science_digest.txt`.  Runs are deterministic, so
+//! committed `tests/golden/science_digest.txt`.  The last line pins the
+//! training itself: an FNV-1a digest of every trained parameter's bits and
+//! of the activation scales, so a kernel change that moves one weight bit
+//! fails here even when no sweep point moves.  Runs are deterministic, so
 //! the comparison is exact.
 //!
 //! A mismatch means the science moved.  If that is intended, re-bless with
@@ -21,6 +24,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use nrsnn::prelude::*;
+use nrsnn::LayerDescriptor;
 
 const CODINGS: [CodingKind; 5] = [
     CodingKind::Rate,
@@ -78,7 +82,43 @@ fn digest(pipeline: &TrainedPipeline) -> String {
             .unwrap();
         }
     }
+    writeln!(out, "{}", training_digest(pipeline)).unwrap();
     out
+}
+
+/// 64-bit FNV-1a over the little-endian bytes of `values`' bits, folded
+/// into `hash`.
+fn fnv1a(mut hash: u64, values: &[f32]) -> u64 {
+    for v in values {
+        for byte in v.to_bits().to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// One line pinning the trained DNN bit for bit: the digest of every
+/// trained parameter (each weighted layer's weights, then its bias, in
+/// layer order) and of the threshold-balancing activation scales.
+fn training_digest(pipeline: &TrainedPipeline) -> String {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut params = FNV_OFFSET;
+    let mut count = 0usize;
+    for descriptor in pipeline.descriptors() {
+        if let LayerDescriptor::Linear { weights, bias }
+        | LayerDescriptor::Conv { weights, bias, .. } = descriptor
+        {
+            params = fnv1a(params, weights.as_slice());
+            params = fnv1a(params, bias.as_slice());
+            count += weights.len() + bias.len();
+        }
+    }
+    let scales = fnv1a(FNV_OFFSET, pipeline.activation_scales());
+    format!(
+        "training parameters={count} parameters_fnv1a={params:016x} \
+         activation_scales_fnv1a={scales:016x}"
+    )
 }
 
 #[test]
