@@ -56,8 +56,8 @@ const TRANSPOSE_BLOCK: usize = 16;
 /// # Panics
 /// Asserts the slice lengths before touching any data.
 pub fn transpose_slices(a: &[f32], m: usize, n: usize, out: &mut [f32]) {
-    assert_eq!(a.len(), m * n, "transpose: a.len() != m*n");
-    assert_eq!(out.len(), m * n, "transpose: out.len() != m*n");
+    assert_eq!(m.checked_mul(n), Some(a.len()), "transpose: a.len() != m*n");
+    assert_eq!(out.len(), a.len(), "transpose: out.len() != m*n");
     let (src, dst) = (a.as_ptr(), out.as_mut_ptr());
     for i0 in (0..m).step_by(TRANSPOSE_BLOCK) {
         let i1 = (i0 + TRANSPOSE_BLOCK).min(m);
@@ -66,7 +66,8 @@ pub fn transpose_slices(a: &[f32], m: usize, n: usize, out: &mut [f32]) {
             for i in i0..i1 {
                 for j in j0..j1 {
                     // SAFETY: `i < m` and `j < n`, so `i*n + j` and `j*m + i`
-                    // are below `m*n`, the length of both slices (asserted).
+                    // are below `m*n`, which does not overflow and is the
+                    // length of both slices (asserted).
                     unsafe { *dst.add(j * m + i) = *src.add(i * n + j) };
                 }
             }
@@ -329,6 +330,14 @@ mod tests {
             transpose_slices(&out, n, m, &mut back);
             assert_eq!(bits(&back), bits(&a), "{m}x{n} round trip");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "transpose: a.len() != m*n")]
+    fn transpose_slices_rejects_a_shape_whose_size_wraps() {
+        // `m·n` is 2^BITS, which wraps to 0 = `a.len()` unless checked.
+        let half = 1usize << (usize::BITS / 2);
+        transpose_slices(&[], half, half, &mut []);
     }
 
     #[test]

@@ -234,11 +234,15 @@ const _: () = assert!(MATMUL_CHUNK <= 1 << 16);
 /// registers — whose accumulators stay in registers for the whole list:
 /// each listed `kk` splats `a[i][kk]` once and adds its product with the
 /// panel's block of `b` row `kk` into every vector.  The axpy form this
-/// replaces loaded and stored the output row again for every `kk`.  A width
-/// that is not a multiple of the panel ends with one narrower panel whose
-/// last vector is shifted left to end at column `n`; the columns it shares
-/// with the vector before it are recomputed with the same operations and
-/// rewritten with the same bits.  Widths below 8 run the list per element.
+/// replaces loaded and stored the output row again for every `kk`.  The
+/// panels split the row into disjoint column ranges.  A width that is not
+/// a multiple of the panel ends with one narrower panel whose last vector
+/// is shifted left to end at column `n`; it overlaps only the vector before
+/// it in the same panel, which started from the same values, so both store
+/// the same bits.  Where a full panel would leave 1 to 7 columns, it stops
+/// one vector short, so the narrower panel is 9 to 15 columns wide and its
+/// shifted vector never reaches into a panel already stored.  Widths below
+/// 8 run the list per element.
 ///
 /// **Exact zero skip.**  Only listed columns are added, so a term with
 /// `a[i][kk] == 0` is never computed, whatever `b[kk][j]` holds.  Skipping
@@ -250,11 +254,13 @@ const _: () = assert!(MATMUL_CHUNK <= 1 << 16);
 /// branch per term, the list also costs nothing per skipped term, so a
 /// sparse `a` (ReLU activations, their gradients, im2col padding) takes
 /// time in proportion to its nonzeros.  Between the chunks of a long row,
-/// the partial sums wait in `out` and are reloaded exactly.
+/// the partial sums wait in `out`, and each column's sum is reloaded only
+/// by the one panel that covers it.
 ///
 /// # Safety
-/// Requires `a.len() == m*k`, `b.len() == k*n`, `out.len() == m*n` and
-/// `bias.len() ∈ {0, n}`; the backend `V` must be runnable on this CPU.
+/// Requires `a.len() == m*k`, `b.len() == k*n`, `out.len() == m*n` (none
+/// of the products overflowing) and `bias.len() ∈ {0, n}`; the backend `V`
+/// must be runnable on this CPU.
 #[inline(always)]
 pub(crate) unsafe fn matmul_generic<V: F32x8>(
     a: &[f32],
@@ -355,28 +361,25 @@ unsafe fn matmul_row<V: F32x8>(t: &MatMul<'_>, row: &Row<'_>) {
     }
     let wide = V::MATMUL_VECS * BLOCK;
     let mut j = 0usize;
-    while j + wide <= n {
-        let last = j + wide - BLOCK;
-        // SAFETY: columns `j..j+wide` lie inside `0..n`; the rest of the
-        // panel contract is this fn's.
+    while j < n {
+        // Columns `j..j + w` of the panel: a full panel, one vector less
+        // where a full one would leave 1..=7 columns, or all that is left
+        // (8..=wide columns, as `n >= 8` and each step leaves 0 or >= 8).
+        let rest = n - j;
+        let w = if rest <= wide {
+            rest
+        } else if rest - wide < BLOCK {
+            wide - BLOCK
+        } else {
+            wide
+        };
+        let last = j + w - BLOCK;
+        // SAFETY: `8 <= w <= wide`, so the panel's `ceil(w / 8) <=
+        // MATMUL_VECS <= 8` vectors at `j + 8q` and `last = j + w - 8 >= j`
+        // lie inside columns `j..j + w` of `0..n`; the rest of the panel
+        // contract is this fn's.
         unsafe {
-            match V::MATMUL_VECS {
-                8 => matmul_panel::<V, 8>(t, row, j, last),
-                6 => matmul_panel::<V, 6>(t, row, j, last),
-                _ => matmul_panel::<V, 4>(t, row, j, last),
-            }
-        }
-        j += wide;
-    }
-    if j < n {
-        // The rest in ceil((n - j) / 8) <= MATMUL_VECS <= 8 vectors, the
-        // last one ending at `n`.
-        let last = n - BLOCK;
-        // SAFETY: the leading vectors' columns `j + 8q` end before `n`, the
-        // last one's `n - 8..n` (`n >= 8`) lie inside `0..n`; the rest of
-        // the panel contract is this fn's.
-        unsafe {
-            match (n - j).div_ceil(BLOCK) {
+            match w.div_ceil(BLOCK) {
                 1 => matmul_panel::<V, 1>(t, row, j, last),
                 2 => matmul_panel::<V, 2>(t, row, j, last),
                 3 => matmul_panel::<V, 3>(t, row, j, last),
@@ -387,12 +390,17 @@ unsafe fn matmul_row<V: F32x8>(t: &MatMul<'_>, row: &Row<'_>) {
                 _ => matmul_panel::<V, 8>(t, row, j, last),
             }
         }
+        j += w;
     }
 }
 
 /// One panel of output row `row.i`: `NV` vectors at columns `j + 8q`, the
 /// last one at `last` instead, accumulated in registers over the chunk's
-/// nonzero list, then stored.
+/// nonzero list, then stored.  Every vector loads its starting values
+/// before any stores, so a shifted last vector that overlaps the one
+/// before it starts from the same values and stores the same bits.  On a
+/// resumed chunk that holds only if no other panel of the chunk covers
+/// these columns, as [`matmul_row`] ensures.
 ///
 /// # Safety
 /// As [`matmul_row`], plus `j + 8(NV-1) <= n` and `last + 8 <= n`.

@@ -408,7 +408,9 @@ macro_rules! dispatch {
 /// # Panics
 /// If `a.len() != m*n`, `x.len() != n` or `out.len() != m`. The checks are
 /// real (not debug) assertions: the kernels read through raw pointers, so
-/// a violated contract must stop before the first load.
+/// a violated contract must stop before the first load.  Products of
+/// dimensions are checked, so one that overflows `usize` fails too rather
+/// than wrapping to a length that matches.
 pub fn matvec_slices_with(
     backend: SimdBackend,
     a: &[f32],
@@ -417,7 +419,7 @@ pub fn matvec_slices_with(
     x: &[f32],
     out: &mut [f32],
 ) {
-    assert_eq!(a.len(), m * n, "matvec: a.len() != m*n");
+    assert_eq!(m.checked_mul(n), Some(a.len()), "matvec: a.len() != m*n");
     assert_eq!(x.len(), n, "matvec: x.len() != n");
     assert_eq!(out.len(), m, "matvec: out.len() != m");
     dispatch!(
@@ -442,7 +444,11 @@ pub fn matvec_bias_slices_with(
     bias: &[f32],
     out: &mut [f32],
 ) {
-    assert_eq!(a.len(), m * n, "matvec_bias: a.len() != m*n");
+    assert_eq!(
+        m.checked_mul(n),
+        Some(a.len()),
+        "matvec_bias: a.len() != m*n"
+    );
     assert_eq!(x.len(), n, "matvec_bias: x.len() != n");
     assert_eq!(bias.len(), m, "matvec_bias: bias.len() != m");
     assert_eq!(out.len(), m, "matvec_bias: out.len() != m");
@@ -473,16 +479,20 @@ pub fn matvec_bias_tile_slices_with(
     bias: &[f32],
     out: &mut [f32],
 ) {
-    assert_eq!(a.len(), m * n, "matvec_bias_tile: a.len() != m*n");
     assert_eq!(
-        x.len(),
-        samples * n,
+        m.checked_mul(n),
+        Some(a.len()),
+        "matvec_bias_tile: a.len() != m*n"
+    );
+    assert_eq!(
+        samples.checked_mul(n),
+        Some(x.len()),
         "matvec_bias_tile: x.len() != samples*n"
     );
     assert_eq!(bias.len(), m, "matvec_bias_tile: bias.len() != m");
     assert_eq!(
-        out.len(),
-        samples * m,
+        samples.checked_mul(m),
+        Some(out.len()),
         "matvec_bias_tile: out.len() != samples*m"
     );
     dispatch!(
@@ -508,9 +518,13 @@ pub fn matmul_slices_with(
     n: usize,
     out: &mut [f32],
 ) {
-    assert_eq!(a.len(), m * k, "matmul: a.len() != m*k");
-    assert_eq!(b.len(), k * n, "matmul: b.len() != k*n");
-    assert_eq!(out.len(), m * n, "matmul: out.len() != m*n");
+    assert_eq!(m.checked_mul(k), Some(a.len()), "matmul: a.len() != m*k");
+    assert_eq!(k.checked_mul(n), Some(b.len()), "matmul: b.len() != k*n");
+    assert_eq!(
+        m.checked_mul(n),
+        Some(out.len()),
+        "matmul: out.len() != m*n"
+    );
     dispatch!(backend, matmul_generic::matmul(a, m, k, b, n, &[], out))
 }
 
@@ -532,10 +546,22 @@ pub fn matmul_sparse_slices_with(
     bias: &[f32],
     out: &mut [f32],
 ) {
-    assert_eq!(a.len(), m * k, "matmul_sparse: a.len() != m*k");
-    assert_eq!(b.len(), k * n, "matmul_sparse: b.len() != k*n");
+    assert_eq!(
+        m.checked_mul(k),
+        Some(a.len()),
+        "matmul_sparse: a.len() != m*k"
+    );
+    assert_eq!(
+        k.checked_mul(n),
+        Some(b.len()),
+        "matmul_sparse: b.len() != k*n"
+    );
     assert_eq!(bias.len(), n, "matmul_sparse: bias.len() != n");
-    assert_eq!(out.len(), m * n, "matmul_sparse: out.len() != m*n");
+    assert_eq!(
+        m.checked_mul(n),
+        Some(out.len()),
+        "matmul_sparse: out.len() != m*n"
+    );
     dispatch!(backend, matmul_generic::matmul(a, m, k, b, n, bias, out))
 }
 
@@ -980,5 +1006,13 @@ mod tests {
         // Real assertions (not debug) must guard the raw-pointer kernels.
         let mut out = vec![0.0f32; 2];
         matvec_slices_with(SimdBackend::Scalar, &[1.0; 3], 2, 2, &[1.0; 2], &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul: out.len() != m*n")]
+    fn dispatched_matmul_rejects_a_shape_whose_size_wraps() {
+        // `m·n` is 2^BITS, which wraps to 0 = `out.len()` unless checked.
+        let half = 1usize << (usize::BITS / 2);
+        matmul_slices_with(SimdBackend::Scalar, &[], half, 0, &[], half, &mut []);
     }
 }

@@ -269,21 +269,45 @@ fn assert_same_bits(got: &[f32], want: &[f32], context: &str) {
     }
 }
 
+/// Mat-mul widths past one register panel (48 columns on SSE2 and scalar,
+/// 64 on AVX2), with and without a narrower panel after the full ones.
+const WIDE: [usize; 6] = [63, 64, 65, 71, 100, 129];
+
+/// Mat-mul depths around and past the kernel's 256-column nonzero lists,
+/// where a row's partial sums wait in the output between lists.
+const DEEP: [usize; 6] = [255, 256, 257, 300, 513, 784];
+
+/// Draws a finite, moderate value, half the time an exact zero of either
+/// sign: a sum of hundreds of such terms stays finite, so a term added
+/// twice or dropped shows in the bits instead of vanishing into an
+/// overflow.
+fn draw_finite(rng: &mut TestRng) -> f32 {
+    if rng.gen_range(0.0f32..1.0) < 0.5 {
+        if rng.gen_range(0.0f32..1.0) < 0.25 {
+            -0.0
+        } else {
+            0.0
+        }
+    } else {
+        rng.gen_range(-4.0f32..4.0)
+    }
+}
+
 /// Every backend's mat-mul, scalar included, against [`ikj_reference`],
 /// plain and bias-seeded: m in 0..=9, widths from [`SHAPES`] (one panel
-/// and its shifted last vector) and, every fourth case, past one 64-column
-/// panel, depths past the kernel's 256-column chunks every sixth case,
-/// zero-heavy `a` with both zero signs, and `b` rows holding ±inf and NaN
-/// where `a` has zeros — there a `0·inf` term must be skipped, not added.
+/// and its shifted last vector) and, every fourth case, from [`WIDE`],
+/// depths from [`DEEP`] every sixth case (on finite values, see
+/// [`draw_finite`]), zero-heavy `a` with both zero signs, and `b` rows
+/// holding ±inf and NaN where `a` has zeros — there a `0·inf` term must be
+/// skipped, not added.
 #[test]
 fn matmul_every_isa_matches_ikj_reference() {
     let mut rng = rng_for("matmul_every_isa_matches_ikj_reference");
     const NON_FINITE: [f32; 3] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
-    const WIDE: [usize; 6] = [63, 64, 65, 71, 100, 129];
-    const DEEP: [usize; 6] = [255, 256, 257, 300, 513, 784];
     for case in 0..CASES as usize {
         let m = case % 10;
-        let k = if case % 6 == 5 {
+        let deep = case % 6 == 5;
+        let k = if deep {
             DEEP[rng.gen_range(0..DEEP.len())]
         } else {
             draw_shape(&mut rng)
@@ -293,8 +317,17 @@ fn matmul_every_isa_matches_ikj_reference() {
         } else {
             draw_shape(&mut rng)
         };
-        let a = draw_vec(&mut rng, m * k, true);
-        let mut b = draw_vec(&mut rng, k * n, false);
+        let (a, mut b) = if deep {
+            (
+                (0..m * k).map(|_| draw_finite(&mut rng)).collect(),
+                (0..k * n).map(|_| draw_finite(&mut rng)).collect(),
+            )
+        } else {
+            (
+                draw_vec(&mut rng, m * k, true),
+                draw_vec(&mut rng, k * n, false),
+            )
+        };
         if case % 2 == 0 && n > 0 {
             // Poison a few rows of `b` that some row of `a` multiplies by
             // zero.
@@ -319,6 +352,34 @@ fn matmul_every_isa_matches_ikj_reference() {
                 let mut out = vec![f32::NAN; m * n];
                 matmul_sparse_slices_with(isa, &a, m, k, &b, n, &bias, &mut out);
                 assert_same_bits(&out, &seeded, &format!("{isa:?} biased m={m} k={k} n={n}"));
+            }
+        }
+    }
+}
+
+/// Every width up to two 64-column panels and a tail, deterministically
+/// and on finite values, at depths of two and three nonzero lists: a long
+/// row resumes its partial sums from the output between lists, and no
+/// column may take a list's terms twice or miss them, whichever panel
+/// covers it — also where the last vector of a narrower panel overlaps the
+/// columns before it.
+#[test]
+fn matmul_long_rows_at_every_width_match_ikj_reference() {
+    let mut rng = rng_for("matmul_long_rows_at_every_width_match_ikj_reference");
+    for n in 1..=2 * 64 + 8 {
+        for k in [300, 513] {
+            let m = 1;
+            let a: Vec<f32> = (0..m * k).map(|_| draw_finite(&mut rng)).collect();
+            let b: Vec<f32> = (0..k * n).map(|_| draw_finite(&mut rng)).collect();
+            let bias: Vec<f32> = (0..n).map(|_| draw_finite(&mut rng)).collect();
+            let plain = ikj_reference(&a, m, k, &b, n, &[]);
+            let seeded = ikj_reference(&a, m, k, &b, n, &bias);
+            for isa in available_backends() {
+                let mut out = vec![f32::NAN; m * n];
+                matmul_slices_with(isa, &a, m, k, &b, n, &mut out);
+                assert_same_bits(&out, &plain, &format!("{isa:?} k={k} n={n}"));
+                matmul_sparse_slices_with(isa, &a, m, k, &b, n, &bias, &mut out);
+                assert_same_bits(&out, &seeded, &format!("{isa:?} biased k={k} n={n}"));
             }
         }
     }

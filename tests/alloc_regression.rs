@@ -104,10 +104,11 @@ fn build_inputs(samples: usize, width: usize) -> Tensor {
 }
 
 /// A deterministic Conv → AvgPool → Linear network whose convolution has
-/// 70 output channels: its mat-mul runs a full-width register panel (64
-/// columns on AVX2, 48 where a vector takes two registers) and then a
-/// narrower one whose last vector is shifted to end at column 70, not only
-/// the narrow-width path of the few-channel test networks.
+/// 70 output channels: its mat-mul runs a wide register panel (56 columns
+/// on AVX2, where a full 64 would leave 6; 48 where a vector takes two
+/// registers) and then a narrower one whose last vector is shifted to end
+/// at column 70, not only the narrow-width path of the few-channel test
+/// networks.
 fn build_conv_network() -> SnnNetwork {
     const CHANNELS: usize = 70;
     let fill = |rows: usize, cols: usize, scale: f32| -> Tensor {
