@@ -22,7 +22,10 @@
 //! train-for-train before timing.  A fifth times the mat-mul kernel that
 //! DNN training and the convolution forward run, per ISA at the MLP
 //! training shapes and the CNN's shapes, each gated bit for bit on a plain
-//! `ikj` loop first.
+//! `ikj` loop first.  A sixth times spike deletion alone, per ISA: ns per
+//! presented spike at p = 0.5 and 0.9 on the MLP's rate- and TTAS-coded
+//! input rasters, each gated on the per-spike draw rule (same survivors,
+//! same RNG end state) first.
 //!
 //! ```text
 //! cargo bench -p nrsnn-bench --bench sim_throughput
@@ -40,7 +43,7 @@ use nrsnn_tensor::simd::{
 };
 use nrsnn_tensor::Tensor;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
 
 const SAMPLES: usize = 24;
 const SEED: u64 = 2021;
@@ -745,11 +748,105 @@ fn matmul_kernel_report(isas: &[SimdBackend]) {
     record_bench_summary("matmul_kernel", &borrowed);
 }
 
+/// The per-spike deletion rule the raster-wide pass must reproduce: one
+/// `gen::<f64>()` per spike in neuron then spike order, keep on `>= p`.
+fn per_spike_deletion(p: f64, raster: &SpikeRaster, rng: &mut dyn RngCore) -> SpikeRaster {
+    let trains = raster
+        .iter()
+        .map(|(_, train)| {
+            train
+                .iter()
+                .copied()
+                .filter(|_| rng.gen::<f64>() >= p)
+                .collect()
+        })
+        .collect();
+    SpikeRaster::from_trains(trains, raster.num_steps())
+}
+
+/// Per-ISA ns per presented spike of `DeletionNoise::apply` at p = 0.5 and
+/// 0.9, on the MLP's input rasters (its first [`SAMPLES`] test rows) under
+/// rate and TTAS(5) coding.  Every (coding, p, ISA) cell is gated on
+/// [`per_spike_deletion`] first: the same survivors and the same RNG end
+/// state for every raster.  A timed pass restores each clean raster with
+/// `clone_from` before corrupting it; that copy is timed on its own and
+/// subtracted.
+fn deletion_kernel_report(isas: &[SimdBackend]) {
+    let pipeline = mnist_pipeline();
+    let time_steps = bench_sweep_config().time_steps;
+    let inputs = &pipeline.dataset().test.inputs;
+    let mut entries: Vec<(String, f64)> = Vec::new();
+    println!("\n==== Deletion kernel (MLP input rasters, per ISA) ====");
+    println!(
+        "{:<12}{:<8}{:<10}{:>12}",
+        "coding", "p", "backend", "ns/spike"
+    );
+    for kind in [CodingKind::Rate, CodingKind::Ttas(5)] {
+        let coding = kind.build();
+        let cfg = pipeline.coding_config(kind, time_steps);
+        let key = kind.label().to_lowercase().replace(['(', ')'], "");
+        let mut scratch = CodingScratch::new();
+        let rasters: Vec<SpikeRaster> = (0..SAMPLES)
+            .map(|s| {
+                let mut raster = SpikeRaster::default();
+                let row = inputs.row_slice(s).expect("row");
+                coding.encode_raster_into(row, &cfg, &mut raster, &mut scratch);
+                raster
+            })
+            .collect();
+        let spikes: usize = rasters.iter().map(SpikeRaster::total_spikes).sum();
+        let mut work = SpikeRaster::default();
+        let copy = best_rates(isas, spikes, || {
+            for raster in &rasters {
+                work.clone_from(raster);
+                black_box(&work);
+            }
+        });
+        for p in [0.5, 0.9] {
+            let noise = DeletionNoise::new(p).expect("noise");
+            for &isa in isas {
+                assert_eq!(set_backend(isa), isa, "requested backend must stick");
+                for (s, raster) in rasters.iter().enumerate() {
+                    let seed = derive_seed(SEED, s as u64);
+                    let mut oracle_rng = StdRng::seed_from_u64(seed);
+                    let expected = per_spike_deletion(p, raster, &mut oracle_rng);
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    work.clone_from(raster);
+                    noise.apply(&mut work, &mut rng);
+                    assert_eq!(work, expected, "{key} p={p} {}: survivors", isa.name());
+                    assert_eq!(rng, oracle_rng, "{key} p={p} {}: RNG end state", isa.name());
+                }
+            }
+            let mut rng = StdRng::seed_from_u64(SEED);
+            let rates = best_rates(isas, spikes, || {
+                for raster in &rasters {
+                    work.clone_from(raster);
+                    noise.apply(&mut work, &mut rng);
+                }
+                black_box(&work);
+            });
+            for ((isa, rate), &(_, copy_rate)) in rates.into_iter().zip(&copy) {
+                let ns = 1e9 / rate - 1e9 / copy_rate;
+                println!("{:<12}{:<8}{:<10}{:>12.3}", key, p, isa.name(), ns);
+                let level = (p * 10.0).round() as u32;
+                entries.push((format!("{key}_p0{level}_{}_ns_per_spike", isa.name()), ns));
+            }
+        }
+        entries.push((
+            format!("{key}_spikes_per_raster"),
+            (spikes / SAMPLES) as f64,
+        ));
+    }
+    let borrowed: Vec<(&str, f64)> = entries.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    record_bench_summary("deletion_kernel", &borrowed);
+}
+
 fn bench(c: &mut Criterion) {
     let w = workload();
     throughput_report(&w);
     let previous = nrsnn_tensor::simd::active_backend();
     matmul_kernel_report(&available_backends());
+    deletion_kernel_report(&available_backends());
     assert_eq!(set_backend(previous), previous);
     simd_throughput_report();
 

@@ -3,17 +3,13 @@
 use rand::RngCore;
 
 use nrsnn_snn::{SpikeRaster, SpikeTransform};
+use nrsnn_tensor::simd::{active_backend, left_pack_with};
 
 use crate::{NoiseError, Result};
 
-/// Draws per random block: one `fill_bytes` call draws up to this many
-/// `u64`s for one train.
-const BLOCK: usize = 256;
-
-/// Trains shorter than this draw spike by spike with `next_u64`: below
-/// about this length one `fill_bytes` call costs more than the `next_u64`
-/// calls it replaces.
-const SHORT_TRAIN: usize = 8;
+/// Draws per block: one `fill_bytes` call draws one `u64` for each spike
+/// of one [`SpikeRaster::retain_in_blocks`] block.
+const BLOCK: usize = SpikeRaster::RETAIN_BLOCK;
 
 /// Independent per-spike deletion: every transmitted spike is dropped with
 /// probability `p` (the paper's deletion model, §III).
@@ -24,14 +20,17 @@ const SHORT_TRAIN: usize = 8;
 /// TTAS — which is the core observation of the paper.
 ///
 /// **Draw contract.**  Every spike costs exactly one `u64` from the RNG, in
-/// neuron order and then spike order; empty trains draw nothing, and
+/// neuron order and then spike order; silent neurons draw nothing, and
 /// `p = 0` draws nothing at all.  A spike survives when its draw, read as a
 /// uniform `f64` in `[0, 1)` the way `rng.gen::<f64>()` does (its top 53
-/// bits), is at least `p`.  Long trains take their draws in blocks of up to
-/// 256, one `fill_bytes` call each, read back as little-endian `u64`s.
-/// `RngCore`'s default `fill_bytes`, which `StdRng` uses, writes exactly
-/// the values consecutive `next_u64` calls return, so the kept spikes and
-/// the RNG's end state are those of one `next_u64` per spike.
+/// bits), is at least `p`: as an integer rule, `draw >> 11 >=
+/// ceil(p · 2^53)`.  The draws are taken for the whole raster in one pass,
+/// in blocks of up to 256 that run across train boundaries (the last
+/// block asks for exactly the spikes that remain), one `fill_bytes` call
+/// each, read back as little-endian `u64`s.  `RngCore`'s default
+/// `fill_bytes`, which `StdRng` uses, writes exactly the values
+/// consecutive `next_u64` calls return, so the kept spikes and the RNG's
+/// end state are those of one `next_u64` per spike.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeletionNoise {
     probability: f64,
@@ -67,57 +66,39 @@ impl DeletionNoise {
     }
 }
 
-/// Whether a spike whose draw is `draw` survives under `threshold`
-/// ([`DeletionNoise::keep_threshold`]).
-fn keeps(draw: u64, threshold: u64) -> bool {
-    draw >> 11 >= threshold
-}
-
-/// The deletion kernel: draws one `u64` per spike of `train` and keeps the
-/// survivors, in order, at its front, truncating the rest.
-///
-/// Survivors are compacted without a branch (`train[kept] = t` always, then
-/// `kept` advances only on a keep), so the cost does not depend on how
-/// predictable the coin flips are.  `block` is the caller's reusable draw
-/// buffer, one per raster.
-fn delete_spikes(
-    train: &mut Vec<u32>,
-    threshold: u64,
-    block: &mut [u8; BLOCK * 8],
-    rng: &mut dyn RngCore,
-) {
-    let len = train.len();
-    let mut kept = 0;
-    if len < SHORT_TRAIN {
-        for i in 0..len {
-            let t = train[i];
-            train[kept] = t;
-            kept += keeps(rng.next_u64(), threshold) as usize;
-        }
-    } else {
-        for start in (0..len).step_by(BLOCK) {
-            let draws = &mut block[..(len - start).min(BLOCK) * 8];
-            rng.fill_bytes(draws);
-            for (i, bytes) in (start..).zip(draws.chunks_exact(8)) {
-                let mut word = [0u8; 8];
-                word.copy_from_slice(bytes);
-                let t = train[i];
-                train[kept] = t;
-                kept += keeps(u64::from_le_bytes(word), threshold) as usize;
-            }
-        }
+/// Fills `draws` with one `fill_bytes` call, read back as little-endian
+/// `u64`s: on a little-endian target the bytes land in place, so the block
+/// is drawn straight into the words the left-pack reads.
+fn fill_draws(rng: &mut dyn RngCore, draws: &mut [u64]) {
+    let len = draws.len() * 8;
+    // SAFETY: the byte view covers exactly `draws`' memory and lives only
+    // for this call; `u8` has alignment 1, and `u64` has no padding and
+    // accepts every bit pattern, so any bytes `fill_bytes` writes leave
+    // valid words.
+    let bytes = unsafe { std::slice::from_raw_parts_mut(draws.as_mut_ptr().cast::<u8>(), len) };
+    rng.fill_bytes(bytes);
+    for draw in draws.iter_mut() {
+        // A no-op on little-endian targets.
+        *draw = u64::from_le(*draw);
     }
-    train.truncate(kept);
 }
 
 impl SpikeTransform for DeletionNoise {
+    /// One pass over the raster: each block of spikes draws its words, the
+    /// SIMD left-pack keeps the spikes whose draws clear the threshold, and
+    /// the raster rebases its train offsets from the keep masks.
     fn apply(&self, raster: &mut SpikeRaster, rng: &mut dyn RngCore) {
         if self.probability == 0.0 {
             return;
         }
         let threshold = self.keep_threshold();
-        let mut block = [0u8; BLOCK * 8];
-        raster.update_trains(|_, train| delete_spikes(train, threshold, &mut block, rng));
+        let backend = active_backend();
+        let mut draws = [0u64; BLOCK];
+        raster.retain_in_blocks(|window, read, masks| {
+            let draws = &mut draws[..window.len() - read];
+            fill_draws(rng, draws);
+            left_pack_with(backend, window, read, draws, threshold, masks);
+        });
     }
 
     fn is_identity(&self) -> bool {
@@ -133,6 +114,7 @@ impl SpikeTransform for DeletionNoise {
 mod tests {
     use super::*;
     use crate::corrupted;
+    use nrsnn_tensor::simd::{available_backends, set_backend};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -227,42 +209,59 @@ mod tests {
         1.0,
     ];
 
-    #[test]
-    fn kernel_matches_per_spike_oracle_draw_for_draw() {
-        // Empty trains between trains on both sides of the short-train
-        // cutoff and of every block boundary.
-        let lengths = [
-            0,
-            1,
-            0,
-            SHORT_TRAIN - 1,
-            SHORT_TRAIN,
-            0,
-            7,
-            8,
-            255,
-            0,
-            256,
-            257,
-            3 * BLOCK + 5,
-            0,
-        ];
+    /// A raster of trains with the given lengths, spread over a 1024-step
+    /// window.
+    fn raster_of(lengths: &[usize]) -> SpikeRaster {
         let trains = lengths
             .iter()
             .map(|&len| (0..len as u32).map(|i| i * 1024 / len as u32).collect())
             .collect();
-        let raster = SpikeRaster::from_trains(trains, 1024);
-        for p in [0.0].into_iter().chain(EDGE_PROBABILITIES) {
-            let noise = DeletionNoise::new(p).unwrap();
-            for seed in [11, 12] {
-                let mut rng_oracle = StdRng::seed_from_u64(seed);
-                let expected = per_spike_oracle(p, &raster, &mut rng_oracle);
+        SpikeRaster::from_trains(trains, 1024)
+    }
 
-                let mut rng = StdRng::seed_from_u64(seed);
-                assert_eq!(corrupted(&noise, &raster, &mut rng), expected, "p {p}");
-                assert_eq!(rng, rng_oracle, "RNG p {p}");
+    #[test]
+    fn kernel_matches_per_spike_oracle_draw_for_draw() {
+        let mut rasters = vec![
+            // Empty trains between trains of every length class, on both
+            // sides of the 8-spike groups and of every block boundary.
+            raster_of(&[0, 1, 0, 7, 8, 0, 7, 8, 255, 0, 256, 257, 3 * BLOCK + 5, 0]),
+            // A block that ends between two trains, then inside one.
+            raster_of(&[128, 128, 100, 300]),
+            // Runs of 1–7-spike trains, which once drew spike by spike.
+            raster_of(&(0..300).map(|i| 1 + i % 7).collect::<Vec<_>>()),
+            // Spike totals around one and two blocks.
+            raster_of(&[5; 51]),
+            raster_of(&[255, 1]),
+            raster_of(&[1, 0, 256]),
+            raster_of(&[7; 73].iter().copied().chain([2]).collect::<Vec<_>>()),
+            // No spikes at all: no neurons, or only silent ones.
+            SpikeRaster::new(0, 16),
+            raster_of(&[0; 5]),
+        ];
+        let totals: Vec<usize> = rasters.iter().map(SpikeRaster::total_spikes).collect();
+        for total in [255, 256, 257, 513, 0] {
+            assert!(totals.contains(&total), "no raster of {total} spikes");
+        }
+        // Pin the backend per pass: every ISA must draw and keep alike.
+        let previous = active_backend();
+        for backend in available_backends() {
+            assert_eq!(set_backend(backend), backend);
+            for raster in &mut rasters {
+                for p in [0.0].into_iter().chain(EDGE_PROBABILITIES) {
+                    let noise = DeletionNoise::new(p).unwrap();
+                    for seed in [11, 12] {
+                        let mut rng_oracle = StdRng::seed_from_u64(seed);
+                        let expected = per_spike_oracle(p, raster, &mut rng_oracle);
+
+                        let mut rng = StdRng::seed_from_u64(seed);
+                        let got = corrupted(&noise, raster, &mut rng);
+                        assert_eq!(got, expected, "{backend:?} p {p}");
+                        assert_eq!(rng, rng_oracle, "{backend:?} RNG p {p}");
+                    }
+                }
             }
         }
+        set_backend(previous);
     }
 
     /// An RNG that returns one fixed word, to read a single draw through
@@ -275,6 +274,21 @@ mod tests {
         }
         fn next_u64(&mut self) -> u64 {
             self.0
+        }
+    }
+
+    /// Whether the left-pack keeps a spike drawn `draw` under `threshold`,
+    /// on every backend: eight such spikes fill one vector group.
+    fn keeps(draw: u64, threshold: u64) -> bool {
+        let kept: Vec<usize> = available_backends()
+            .into_iter()
+            .map(|backend| left_pack_with(backend, &mut [0; 8], 0, &[draw; 8], threshold, &mut [0]))
+            .collect();
+        assert!(kept.iter().all(|&k| k == kept[0]), "backends disagree");
+        match kept[0] {
+            8 => true,
+            0 => false,
+            k => panic!("{k} of 8 equal draws kept"),
         }
     }
 

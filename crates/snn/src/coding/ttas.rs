@@ -2,7 +2,7 @@
 
 use std::ops::Range;
 
-use nrsnn_tensor::simd::{active_backend, encode_ratio_with, sum8_by, sum_gather_with};
+use nrsnn_tensor::simd::{active_backend, encode_ratio_with, sum8_by, sum_gather_rows_with};
 
 use crate::coding::ttfs::TtfsCoding;
 use crate::coding::CodingScratch;
@@ -172,28 +172,36 @@ impl NeuralCoding for TtasCoding {
         // tabulating the PSC kernel `value_at(t) = θ·exp(−t/τ)` once (T
         // exps into the reusable scratch) beats one exp per spike; table
         // lookups are bit-identical to direct evaluation, and the
-        // SIMD-gathered table sum (`sum_gather_with`) reduces in the same
-        // canonical lane-blocked order as the `sum8_by` used by the direct
-        // path and `decode` — so all paths agree bitwise on every backend.
-        let tabulate = raster.total_spikes() > raster.num_steps() as usize;
-        if tabulate {
+        // SIMD-gathered row sums (`sum_gather_rows_with`, one call for the
+        // whole raster) reduce every train in the same canonical
+        // lane-blocked order as the `sum8_by` used by the direct path and
+        // `decode` — so all paths agree bitwise on every backend.  A silent
+        // train sums to `+0.0`, and `C_A · +0.0` clamps to `+0.0`, the
+        // empty-train contract.
+        if raster.total_spikes() > raster.num_steps() as usize {
             scratch.kernel.clear();
             scratch
                 .kernel
                 .extend((0..raster.num_steps()).map(|t| TtfsCoding::value_at(t, cfg)));
-        }
-        let backend = active_backend();
-        for (slot, (_, train)) in out.iter_mut().zip(raster.iter()) {
-            if train.is_empty() {
-                *slot = 0.0;
-                continue;
+            sum_gather_rows_with(
+                active_backend(),
+                &scratch.kernel,
+                raster.times(),
+                raster.offsets(),
+                out,
+            );
+            for slot in out.iter_mut() {
+                *slot = (scale * *slot).min(cfg.threshold);
             }
-            let sum: f32 = if tabulate {
-                sum_gather_with(backend, &scratch.kernel, train)
+            return;
+        }
+        for (slot, (_, train)) in out.iter_mut().zip(raster.iter()) {
+            *slot = if train.is_empty() {
+                0.0
             } else {
-                sum8_by(train.len(), |i| TtfsCoding::value_at(train[i], cfg))
+                let sum = sum8_by(train.len(), |i| TtfsCoding::value_at(train[i], cfg));
+                (scale * sum).min(cfg.threshold)
             };
-            *slot = (scale * sum).min(cfg.threshold);
         }
     }
 }

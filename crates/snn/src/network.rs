@@ -275,8 +275,12 @@ pub trait SpikeTransform: Send + Sync {
     ///
     /// The engine hands over the layer's freshly encoded raster and decodes
     /// it right after, so a transform needs no second raster and, if it
-    /// mutates the trains' own buffers (e.g. through
-    /// [`SpikeRaster::update_trains`]), allocates nothing.
+    /// corrupts the spike buffer in place (through
+    /// [`SpikeRaster::retain_in_blocks`], which deletion sweeps the whole
+    /// raster with, or [`SpikeRaster::update_trains`], which jitter
+    /// shifts each train with), allocates nothing.  Whatever randomness
+    /// the transform draws must come from `rng` in a fixed order, so a
+    /// result stays a function of the seed.
     fn apply(&self, raster: &mut SpikeRaster, rng: &mut dyn RngCore);
 
     /// Returns `true` if `apply` is guaranteed to leave the raster
@@ -704,11 +708,6 @@ impl SnnNetwork {
         debug_assert_eq!(inputs.len(), rngs.len());
         let num_layers = self.layers.len();
         let samples = inputs.len();
-        // Grow (never shrink) the per-layer raster pool, so buffers reach a
-        // fixed point and later tiles allocate nothing.
-        if ws.rasters.len() < num_layers {
-            ws.rasters.resize_with(num_layers, SpikeRaster::default);
-        }
         ws.tile_len = samples;
         ws.tile_row = 0;
         ws.spikes_per_layer.clear();
@@ -746,7 +745,7 @@ impl SnnNetwork {
                     }
                     row
                 };
-                coding.encode_raster_into(values, cfg, &mut ws.rasters[index], &mut ws.coding);
+                coding.encode_raster_into(values, cfg, &mut ws.raster, &mut ws.coding);
                 stage_mark(
                     &mut ws.stage_events,
                     &mut mark,
@@ -757,7 +756,7 @@ impl SnnNetwork {
                 // Synaptic noise corrupts, in place, the spikes actually
                 // transmitted to this layer.
                 if !skip_noise {
-                    noise.apply(&mut ws.rasters[index], &mut **rng);
+                    noise.apply(&mut ws.raster, &mut **rng);
                     stage_mark(
                         &mut ws.stage_events,
                         &mut mark,
@@ -766,7 +765,7 @@ impl SnnNetwork {
                         0.0,
                     );
                 }
-                let received = &ws.rasters[index];
+                let received = &ws.raster;
                 ws.spikes_per_layer[s * num_layers + index] = received.total_spikes();
                 // The activity fraction is trace data only; the untraced
                 // path skips the scan.

@@ -5,12 +5,13 @@
 //! at a time: each sample of the tile is encoded, corrupted and decoded in
 //! turn straight into its row of a per-tile decoded matrix, then the
 //! layer's analog forward runs once for the whole tile into a per-tile
-//! activation matrix.  That needs per layer one spike raster, which the
-//! noise model corrupts in place (shared by the tile's samples, which pass
-//! through one after another), one coding scratch that serves both the
-//! block encode and the block decode, the two per-tile matrices,
-//! per-sample spike counts and — for convolution layers — an `im2col`
-//! patch matrix, a transposed kernel bank and their product.  The original
+//! activation matrix.  That needs one spike raster, which the noise model
+//! corrupts in place (every sample of every layer passes through it in
+//! turn: a raster is decoded before the next one is encoded), one coding
+//! scratch that serves both the block encode and the block decode, the
+//! two per-tile matrices, per-sample spike counts and — for convolution
+//! layers — an `im2col` patch matrix, a transposed kernel bank and their
+//! product.  The original
 //! `SnnNetwork::simulate` allocated such buffers afresh on every call, which
 //! dominated the cost of the paper's `(coding × noise level × sample)` sweep
 //! grids.  A `SimWorkspace` owns all of them once; the entry points
@@ -129,17 +130,19 @@ pub(crate) struct ConvScratch {
 /// Create one per worker thread (or one per serial loop), then hand it to
 /// [`SnnNetwork::simulate_with`] or [`SnnNetwork::simulate_batch`]; the
 /// workspace grows to the largest network/window/tile it has seen and never
-/// shrinks, so steady-state simulation performs no heap allocation.
+/// shrinks, so steady-state simulation performs no heap allocation.  It
+/// holds one [`SpikeRaster`] for the whole network: every layer of every
+/// sample is encoded into it, corrupted in place and decoded before the
+/// next is encoded, and its flat buffers keep their capacity across layer
+/// widths.
 #[derive(Debug, Clone, Default)]
 pub struct SimWorkspace {
-    /// One raster per layer: `rasters[i]` is the raster entering layer
-    /// `i`, encoded and then corrupted in place by the noise model, reused
-    /// by each sample of a tile in turn.  Keeping them per layer — instead
-    /// of ping-ponging one buffer through widths that alternate every
-    /// layer — is what lets the per-neuron spike buffers reach a fixed
-    /// point after warm-up: a `Vec<Vec<u32>>` that shrank would drop its
-    /// tail buffers and have to reallocate them on the next sample.
-    pub(crate) rasters: Vec<SpikeRaster>,
+    /// The raster entering the current layer: encoded, corrupted in place
+    /// by the noise model and decoded, by each sample of a tile and each
+    /// layer in turn.  One suffices because its two flat buffers (spike
+    /// times and train offsets) keep their capacity across layer widths,
+    /// so after the widest layer's densest sample it never allocates.
+    pub(crate) raster: SpikeRaster,
     /// The tile's decoded matrix: row `s` holds sample `s`'s decoded
     /// input to the current layer (`tile_len × input width`), written by
     /// [`crate::NeuralCoding::decode_into`] in place.
@@ -185,8 +188,10 @@ impl SimWorkspace {
     pub fn for_network(network: &SnnNetwork, cfg: &CodingConfig) -> Self {
         let mut ws = SimWorkspace::new();
         let mut max_width = network.input_width();
+        let mut max_input = 0;
         for layer in network.layers() {
             max_width = max_width.max(layer.output_width());
+            max_input = max_input.max(layer.input_width());
             if let SnnLayer::Conv {
                 weights, geometry, ..
             } = layer
@@ -205,12 +210,9 @@ impl SimWorkspace {
         ws.coding.lanes.reserve(max_width);
         ws.coding.bits.reserve(max_width);
         ws.spikes_per_layer.reserve(TILE * network.num_layers());
-        // One raster per layer, sized for that layer's input width; the
-        // per-train spike buffers still grow lazily on the first sample.
-        for layer in network.layers() {
-            ws.rasters
-                .push(SpikeRaster::new(layer.input_width(), cfg.time_steps));
-        }
+        // Train offsets for the widest layer input; the spike buffer grows
+        // on the first sample, to as many spikes as the coding emits.
+        ws.raster = SpikeRaster::new(max_input, cfg.time_steps);
         ws
     }
 
@@ -323,8 +325,7 @@ mod tests {
         let net = toy_network();
         let cfg = CodingConfig::new(32, 1.0);
         let mut ws = SimWorkspace::for_network(&net, &cfg);
-        assert_eq!(ws.rasters.len(), 1);
-        assert_eq!(ws.rasters[0].num_neurons(), 2);
+        assert_eq!(ws.raster.num_neurons(), 2);
         let mut rng = StdRng::seed_from_u64(1);
         let outcome = net
             .simulate_with(

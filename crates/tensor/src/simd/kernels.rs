@@ -449,38 +449,52 @@ unsafe fn matmul_panel<V: F32x8, const NV: usize>(
     }
 }
 
-/// Sums `table[idx]` over every index in `idx`, in the canonical
-/// lane-blocked order: 8-wide gather blocks accumulate into lanes, the
+/// Tabulated gather-sum over rows: `out[r]` is the sum of `table[idx[i]]`
+/// over `i` in `offsets[r]..offsets[r + 1]`, each row in the canonical
+/// lane-blocked order — 8-wide gather blocks accumulate into lanes, the
 /// lanes reduce through the fixed tree, and the tail indices are added
-/// sequentially.  This is the vector form of [`super::sum8_by`] — the two
-/// must stay in lockstep.
+/// sequentially.  A row shorter than one block skips the vector work and
+/// adds its terms to `+0.0`, the bits an untouched accumulator reduces to.
+/// Per row this is the vector form of [`super::sum8_by`] — the two must
+/// stay in lockstep.
 ///
 /// # Safety
-/// Every `idx` value must be `< table.len()` and `table.len()` must fit in
-/// `i32` (the AVX2 gather treats indices as signed); the backend `V` must
-/// be runnable on this CPU.
+/// `offsets` must be non-decreasing with `offsets.len() == out.len() + 1`
+/// and its last entry at most `idx.len()`; every `idx` value must be
+/// `< table.len()` and `table.len()` must fit in `i32` (the AVX2 gather
+/// treats indices as signed); the backend `V` must be runnable on this
+/// CPU.
 #[inline(always)]
-pub(crate) unsafe fn sum_gather_generic<V: F32x8>(table: &[f32], idx: &[u32]) -> f32 {
-    let n = idx.len();
-    let nb = n - (n % BLOCK);
+pub(crate) unsafe fn sum_gather_rows_generic<V: F32x8>(
+    table: &[f32],
+    idx: &[u32],
+    offsets: &[usize],
+    out: &mut [f32],
+) {
     let ip = idx.as_ptr();
-    // SAFETY: register-only lane op; the backend is runnable per dispatch.
-    let mut acc = unsafe { V::zero() };
-    let mut b = 0usize;
-    while b < nb {
-        // SAFETY: `b + 8 <= nb <= idx.len()` and every index is `< table.len()`
-        // per this fn's contract, so the gather stays inside `table`.
-        let g = unsafe { V::gather(table, ip.add(b)) };
-        // SAFETY: register-only lane op; the backend is runnable per dispatch.
-        acc = unsafe { acc.add(g) };
-        b += BLOCK;
+    for (slot, row) in out.iter_mut().zip(offsets.windows(2)) {
+        let (start, end) = (row[0], row[1]);
+        let blocked = end - (end - start) % BLOCK;
+        let mut s = 0.0f32;
+        if blocked > start {
+            // SAFETY: register-only lane op; the backend is runnable per dispatch.
+            let mut acc = unsafe { V::zero() };
+            let mut b = start;
+            while b < blocked {
+                // SAFETY: `b + 8 <= blocked <= idx.len()` and every index is
+                // `< table.len()` per this fn's contract, so the gather stays
+                // inside `table`.
+                acc = unsafe { acc.add(V::gather(table, ip.add(b))) };
+                b += BLOCK;
+            }
+            // SAFETY: register-only lane op; the backend is runnable per dispatch.
+            s = unsafe { acc.reduce() };
+        }
+        for &t in &idx[blocked..end] {
+            s += table[t as usize];
+        }
+        *slot = s;
     }
-    // SAFETY: register-only lane op; the backend is runnable per dispatch.
-    let mut s = unsafe { acc.reduce() };
-    for &t in &idx[nb..] {
-        s += table[t as usize];
-    }
-    s
 }
 
 /// Normalised clamp used by every coding's encode path: `out[i] =
@@ -854,4 +868,153 @@ pub(crate) unsafe fn phase_pow2_sum_avx2(train: &[u32], mask: u32) -> u64 {
         s += 1u64 << (!t & mask);
     }
     s
+}
+
+/// Left-packs one group of up to 8 spikes, `times[read..read + draws.len()]`,
+/// to the write cursor without a branch: every spike is stored at `write`,
+/// and `write` advances only past a survivor.  Returns the new cursor and
+/// the group's keep mask.  The shared scalar step of [`left_pack_scalar`]
+/// and the tail of [`left_pack_avx2`].
+#[inline(always)]
+fn left_pack_group(
+    times: &mut [u32],
+    mut write: usize,
+    read: usize,
+    draws: &[u64],
+    threshold: u64,
+) -> (usize, u8) {
+    let mut mask = 0u8;
+    for (l, &draw) in draws.iter().enumerate() {
+        let keep = draw >> 11 >= threshold;
+        times[write] = times[read + l];
+        write += keep as usize;
+        mask |= (keep as u8) << l;
+    }
+    (write, mask)
+}
+
+/// Scalar form of the deletion left-pack (see
+/// [`super::left_pack_with`]): spike `i` of `times[read..]` survives when
+/// `draws[i] >> 11 >= threshold`; survivors move, in order, to
+/// `times[..kept]`, one keep mask per 8 spikes goes to `masks`, and `kept`
+/// is returned.  Also what SSE2 runs: it has neither a 64-bit compare nor
+/// a lane permute.
+pub(crate) fn left_pack_scalar(
+    times: &mut [u32],
+    read: usize,
+    draws: &[u64],
+    threshold: u64,
+    masks: &mut [u8],
+) -> usize {
+    let mut write = 0;
+    for (g, (group, mask)) in draws.chunks(BLOCK).zip(masks.iter_mut()).enumerate() {
+        (write, *mask) = left_pack_group(times, write, read + g * BLOCK, group, threshold);
+    }
+    write
+}
+
+/// `vpermd` lane indices that left-pack the kept lanes of every 8-bit keep
+/// mask: entry `m` lists the set bits of `m` in ascending order, then
+/// zeros.  32-byte aligned, so each entry is one aligned load.
+#[cfg(target_arch = "x86_64")]
+#[repr(C, align(32))]
+struct PackLanes([[u32; 8]; 256]);
+
+#[cfg(target_arch = "x86_64")]
+static PACK_LANES: PackLanes = PackLanes(pack_lanes());
+
+#[cfg(target_arch = "x86_64")]
+const fn pack_lanes() -> [[u32; 8]; 256] {
+    let mut table = [[0u32; 8]; 256];
+    let mut mask = 0;
+    while mask < 256 {
+        let (mut lane, mut kept) = (0, 0);
+        while lane < 8 {
+            if (mask >> lane) & 1 == 1 {
+                table[mask][kept] = lane as u32;
+                kept += 1;
+            }
+            lane += 1;
+        }
+        mask += 1;
+    }
+    table
+}
+
+/// AVX2 form of [`left_pack_scalar`], 8 spikes per step: shift the 8 draws
+/// right by 11, compare them with `threshold − 1` as signed 64-bit lanes
+/// (`vpcmpgtq`; both sides lie in `[−1, 2^53)`, so `x > threshold − 1` is
+/// exactly `x >= threshold`), gather the two 4-bit `movmskpd` masks into
+/// one keep mask, permute the 8 spike times through that mask's
+/// [`PACK_LANES`] entry (`vpermd`), store all 8 lanes at the write cursor
+/// and advance it by the mask's `popcnt`.  The last `len % 8` spikes take
+/// the scalar step.
+///
+/// # Safety
+/// Requires AVX2 and POPCNT (callers dispatch through the resolved
+/// backend and a POPCNT check), `times.len() == read + draws.len()`,
+/// `masks.len() == draws.len().div_ceil(8)` and `threshold <= 2^53`
+/// (asserted or clamped by the public wrapper).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,popcnt")]
+pub(crate) unsafe fn left_pack_avx2(
+    times: &mut [u32],
+    read: usize,
+    draws: &[u64],
+    threshold: u64,
+    masks: &mut [u8],
+) -> usize {
+    use core::arch::x86_64::*;
+    debug_assert_eq!(times.len(), read + draws.len());
+    debug_assert!(threshold <= 1 << 53);
+    let groups = draws.len() / BLOCK;
+    let limit = _mm256_set1_epi64x(threshold as i64 - 1);
+    let tp = times.as_mut_ptr();
+    let dp = draws.as_ptr();
+    let mut write = 0usize;
+    for (g, group_mask) in masks[..groups].iter_mut().enumerate() {
+        let at = g * BLOCK;
+        // SAFETY: `at + 8 <= groups·8 <= draws.len()`: both 4-lane loads
+        // lie inside `draws`; loadu has no alignment requirement.
+        let (lo, hi) = unsafe {
+            (
+                _mm256_loadu_si256(dp.add(at).cast()),
+                _mm256_loadu_si256(dp.add(at + 4).cast()),
+            )
+        };
+        let keep_lo = _mm256_cmpgt_epi64(_mm256_srli_epi64::<11>(lo), limit);
+        let keep_hi = _mm256_cmpgt_epi64(_mm256_srli_epi64::<11>(hi), limit);
+        let mask = (_mm256_movemask_pd(_mm256_castsi256_pd(keep_lo))
+            | (_mm256_movemask_pd(_mm256_castsi256_pd(keep_hi)) << 4)) as usize;
+        // SAFETY: the group's spikes `read + at .. read + at + 8` lie inside
+        // `times` (`read + groups·8 <= read + draws.len() == times.len()`);
+        // the lane entry is one aligned 32-byte row of the static table
+        // (`mask < 256`).
+        let (spikes, lanes) = unsafe {
+            (
+                _mm256_loadu_si256(tp.add(read + at).cast()),
+                _mm256_load_si256(PACK_LANES.0[mask].as_ptr().cast()),
+            )
+        };
+        // SAFETY: the store writes lanes `write..write + 8`.  Each group
+        // advances `write` by at most 8, so `write <= at <= read + at`:
+        // the write cursor never passes the read cursor.  The stored lanes
+        // therefore end at or below `read + at + 8 <= times.len()`, and
+        // cover only lanes already loaded — the consumed span behind the
+        // read cursor, and this group's 8 lanes, held in `spikes` — so no
+        // spike is overwritten before it is read.
+        unsafe {
+            _mm256_storeu_si256(
+                tp.add(write).cast(),
+                _mm256_permutevar8x32_epi32(spikes, lanes),
+            )
+        };
+        *group_mask = mask as u8;
+        write += (mask as u32).count_ones() as usize;
+    }
+    let at = groups * BLOCK;
+    if at < draws.len() {
+        (write, masks[groups]) = left_pack_group(times, write, read + at, &draws[at..], threshold);
+    }
+    write
 }

@@ -1,8 +1,8 @@
 //! Runtime-dispatched SIMD kernels, bit-identical across backends.
 //!
-//! Every hot slice kernel in the workspace (mat-vec, mat-mul,
-//! `im2col` unrolling and the tabulated exp-PSC sum used by TTAS decoding)
-//! is written **once** as a generic lane-blocked algorithm over an 8-lane
+//! Every hot float kernel in the workspace (mat-vec, mat-mul, `im2col`
+//! unrolling and the tabulated exp-PSC row sums used by TTAS decoding) is
+//! written **once** as a generic lane-blocked algorithm over an 8-lane
 //! vector abstraction (`vec::F32x8`) and instantiated per ISA:
 //!
 //! * **scalar** — portable `[f32; 8]` emulation, compiled on every target;
@@ -290,10 +290,15 @@ mod x86 {
             // SAFETY: thin per-ISA wrapper; callers must uphold the generic
             // kernel's `# Safety` contract, forwarded verbatim.
             #[target_feature(enable = $feature)]
-            pub(crate) unsafe fn sum_gather(table: &[f32], idx: &[u32]) -> f32 {
+            pub(crate) unsafe fn sum_gather_rows(
+                table: &[f32],
+                idx: &[u32],
+                offsets: &[usize],
+                out: &mut [f32],
+            ) {
                 // SAFETY: same contract as the callee; the `target_feature`
                 // gate matches the instantiated backend's ISA.
-                unsafe { kernels::sum_gather_generic::<$vty>(table, idx) }
+                unsafe { kernels::sum_gather_rows_generic::<$vty>(table, idx, offsets, out) }
             }
 
             // SAFETY: thin per-ISA wrapper; callers must uphold the generic
@@ -596,24 +601,98 @@ pub fn im2col_slices_with(backend: SimdBackend, x: &[f32], geom: &Conv2dGeometry
     )
 }
 
-/// Sums `table[idx]` over `idx` on an explicit backend, in the canonical
-/// lane-blocked order — the vector twin of [`sum8_by`] (the SNN crate's
-/// tabulated exp-PSC decode routes through this).
+/// Sums `table[idx[i]]` over each row `i ∈ offsets[r]..offsets[r + 1]`
+/// into `out[r]` on an explicit backend, every row in the canonical
+/// lane-blocked order — per row the vector twin of [`sum8_by`].  The SNN
+/// crate's tabulated TTAS decode runs every train of a raster through one
+/// call: the indices are checked and the backend dispatched once per
+/// raster, not once per train.
 ///
 /// # Panics
-/// If any index is out of bounds for `table`, or `table.len()` exceeds
-/// `i32::MAX` (the AVX2 gather reads indices as signed `i32`). Real
-/// assertions, see [`matvec_slices_with`].
-pub fn sum_gather_with(backend: SimdBackend, table: &[f32], idx: &[u32]) -> f32 {
+/// If `offsets.len() != out.len() + 1`, `offsets` decreases or ends past
+/// `idx.len()`, any index is out of bounds for `table`, or `table.len()`
+/// exceeds `i32::MAX` (the AVX2 gather reads indices as signed `i32`).
+/// Real assertions, see [`matvec_slices_with`].
+pub fn sum_gather_rows_with(
+    backend: SimdBackend,
+    table: &[f32],
+    idx: &[u32],
+    offsets: &[usize],
+    out: &mut [f32],
+) {
     assert!(
         table.len() <= i32::MAX as usize,
-        "sum_gather: table too large for i32 gather indices"
+        "sum_gather_rows: table too large for i32 gather indices"
+    );
+    assert_eq!(
+        offsets.len(),
+        out.len() + 1,
+        "sum_gather_rows: offsets.len() != out.len() + 1"
+    );
+    assert!(
+        offsets.windows(2).all(|w| w[0] <= w[1]) && offsets[out.len()] <= idx.len(),
+        "sum_gather_rows: offsets must be non-decreasing and end within idx"
     );
     assert!(
         idx.iter().all(|&t| (t as usize) < table.len()),
-        "sum_gather: index out of range"
+        "sum_gather_rows: index out of range"
     );
-    dispatch!(backend, sum_gather_generic::sum_gather(table, idx))
+    dispatch!(
+        backend,
+        sum_gather_rows_generic::sum_gather_rows(table, idx, offsets, out)
+    )
+}
+
+/// Spike deletion's left-pack on an explicit backend.  Spike `i` of the
+/// block `times[read..]` survives when `draws[i] >> 11 >= threshold` — the
+/// top 53 bits of its random draw, read as an integer, reach `threshold`.
+/// The survivors move, in order, to `times[..kept]`, bit `l` of
+/// `masks[g]` is set exactly when spike `8g + l` survives, and `kept` is
+/// returned.  `times[..read]` is scratch (a consumed gap the survivors
+/// may overwrite), and what `times[kept..]` holds afterwards is
+/// unspecified.  A threshold above `2^53` keeps nothing, like `2^53`.
+///
+/// AVX2 judges and packs 8 spikes per step — a 64-bit compare, a keep
+/// mask, one `vpermd` through a 256-entry lane table and one unaligned
+/// store at the write cursor, which never passes the read cursor.  Scalar
+/// and SSE2 run the branch-free scalar loop: SSE2 has neither a 64-bit
+/// compare nor a lane permute (as in [`phase_pow2_sum_with`]).  The keep
+/// decisions are integer compares, so every backend keeps the same spikes
+/// by construction.
+///
+/// # Panics
+/// If `times.len() != read + draws.len()` or `masks.len() !=
+/// draws.len().div_ceil(8)` (real assertions, see
+/// [`matvec_slices_with`]).
+pub fn left_pack_with(
+    backend: SimdBackend,
+    times: &mut [u32],
+    read: usize,
+    draws: &[u64],
+    threshold: u64,
+    masks: &mut [u8],
+) -> usize {
+    assert_eq!(
+        read.checked_add(draws.len()),
+        Some(times.len()),
+        "left_pack: times.len() != read + draws.len()"
+    );
+    assert_eq!(
+        masks.len(),
+        draws.len().div_ceil(BLOCK),
+        "left_pack: one mask per 8 draws"
+    );
+    let threshold = threshold.min(1 << 53);
+    match backend.resolve() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: resolve() only returns Avx2 when the CPU has it, POPCNT
+        // was checked here, the lengths were asserted above and the
+        // threshold clamped to 2^53.
+        SimdBackend::Avx2 if std::arch::is_x86_feature_detected!("popcnt") => unsafe {
+            kernels::left_pack_avx2(times, read, draws, threshold, masks)
+        },
+        _ => kernels::left_pack_scalar(times, read, draws, threshold, masks),
+    }
 }
 
 /// Exact integer phase-weight sum on an explicit backend: for each spike
@@ -823,9 +902,9 @@ pub fn phase_bits_value(x: f32, threshold: f32, weights: &[f32], thresholds: &[f
 /// and the `n % 8` tail adds sequentially.
 ///
 /// This is the *scalar reference* for every lane-blocked reduction in the
-/// workspace — [`sum_gather_with`] and the mat-vec kernels produce exactly
-/// these bits — and is what non-tabulated decode paths use so that
-/// tabulated and per-train decodes stay bitwise interchangeable.
+/// workspace — [`sum_gather_rows_with`] (per row) and the mat-vec kernels
+/// produce exactly these bits — and is what non-tabulated decode paths use
+/// so that tabulated and per-train decodes stay bitwise interchangeable.
 pub fn sum8_by(n: usize, mut term: impl FnMut(usize) -> f32) -> f32 {
     let nb = n - (n % BLOCK);
     let mut lanes = [0.0f32; BLOCK];
@@ -944,15 +1023,34 @@ mod tests {
     fn sum8_by_matches_sum_gather_on_every_backend() {
         let table: Vec<f32> = (0..23).map(|i| (i as f32 * 0.37 - 3.0).exp()).collect();
         let idx: Vec<u32> = (0..23).rev().map(|i| i % 23).collect();
-        let reference = sum8_by(idx.len(), |i| table[idx[i] as usize]);
+        // Rows below, at and past one 8-wide block, and empty ones.
+        let offsets = [0usize, 0, 5, 13, 13, 23];
+        let reference: Vec<u32> = offsets
+            .windows(2)
+            .map(|w| {
+                let row = &idx[w[0]..w[1]];
+                sum8_by(row.len(), |i| table[row[i] as usize]).to_bits()
+            })
+            .collect();
         for backend in available_backends() {
-            let got = sum_gather_with(backend, &table, &idx);
-            assert_eq!(
-                got.to_bits(),
-                reference.to_bits(),
-                "sum_gather({backend:?}) != sum8_by"
-            );
+            let mut out = [f32::NAN; 5];
+            sum_gather_rows_with(backend, &table, &idx, &offsets, &mut out);
+            let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, reference, "sum_gather_rows({backend:?}) != sum8_by");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "sum_gather_rows: offsets must be non-decreasing")]
+    fn sum_gather_rows_rejects_decreasing_offsets() {
+        let mut out = [0.0f32; 2];
+        sum_gather_rows_with(SimdBackend::Scalar, &[1.0], &[0, 0], &[0, 2, 1], &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "left_pack: times.len() != read + draws.len()")]
+    fn left_pack_rejects_a_block_past_the_buffer() {
+        left_pack_with(SimdBackend::Scalar, &mut [0; 4], 2, &[0; 3], 0, &mut [0]);
     }
 
     #[test]

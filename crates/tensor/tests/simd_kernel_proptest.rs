@@ -10,9 +10,9 @@
 //! `tests/workspace_bit_identity.rs`.
 
 use nrsnn_tensor::simd::{
-    available_backends, im2col_slices_with, matmul_slices_with, matmul_sparse_slices_with,
-    matvec_bias_slices_with, matvec_bias_tile_slices_with, matvec_slices_with, sum8_by,
-    sum_gather_with, SimdBackend,
+    available_backends, im2col_slices_with, left_pack_with, matmul_slices_with,
+    matmul_sparse_slices_with, matvec_bias_slices_with, matvec_bias_tile_slices_with,
+    matvec_slices_with, sum8_by, sum_gather_rows_with, SimdBackend,
 };
 use nrsnn_tensor::{
     im2col, matmul, matmul_sparse_into, matvec, Conv2dGeometry, Tensor, TensorError,
@@ -417,19 +417,110 @@ fn sum_gather_every_isa_matches_sum8_by_bitwise() {
     for _ in 0..CASES {
         let table_len = draw_shape_nz(&mut rng);
         let table = draw_vec(&mut rng, table_len, false);
-        let idx_len = draw_shape(&mut rng);
-        let idx: Vec<u32> = (0..idx_len)
+        // Rows of pool lengths (empty ones included) over one index buffer.
+        let rows = draw_shape(&mut rng);
+        let mut offsets = vec![0usize];
+        for _ in 0..rows {
+            offsets.push(offsets.last().unwrap() + draw_shape(&mut rng));
+        }
+        let idx: Vec<u32> = (0..*offsets.last().unwrap())
             .map(|_| rng.gen_range(0..table_len) as u32)
             .collect();
-        let reference = sum8_by(idx.len(), |i| table[idx[i] as usize]);
+        let reference: Vec<u32> = offsets
+            .windows(2)
+            .map(|w| {
+                let row = &idx[w[0]..w[1]];
+                sum8_by(row.len(), |i| table[row[i] as usize]).to_bits()
+            })
+            .collect();
         for backend in available_backends() {
-            let got = sum_gather_with(backend, &table, &idx);
+            let mut out = vec![f32::NAN; rows];
+            sum_gather_rows_with(backend, &table, &idx, &offsets, &mut out);
             assert_eq!(
-                got.to_bits(),
-                reference.to_bits(),
-                "{backend:?} table_len={table_len} idx_len={idx_len}"
+                bits(&out),
+                reference,
+                "{backend:?} table_len={table_len} offsets={offsets:?}"
             );
         }
+    }
+}
+
+/// Deletion's left-pack on every ISA against a plain filter: the same
+/// survivors in the same order, the same keep masks and the same count,
+/// for every block length up to 300 (partial 8-groups included), keep
+/// thresholds at the edges of the 53-bit draw range and random ones, and
+/// a write cursor behind the read cursor.  Draws cluster at the threshold
+/// (`draw >> 11` one below, equal to and one above it), where a `>` for
+/// `>=` would show.
+#[test]
+fn left_pack_every_isa_matches_a_plain_filter() {
+    let mut rng = rng_for("left_pack_every_isa_matches_a_plain_filter");
+    let top = 1u64 << 53;
+    for len in 0..=300usize {
+        let mut thresholds = vec![0, 1, 1 << 52, top - 1, top];
+        thresholds.extend((0..3).map(|_| rng.gen_range(0..=top)));
+        for threshold in thresholds {
+            let read = rng.gen_range(0..20usize);
+            let draws: Vec<u64> = (0..len)
+                .map(|_| {
+                    let low = rng.gen::<u64>() & 0x7ff;
+                    match rng.gen_range(0..4) {
+                        0 => rng.gen::<u64>(),
+                        1 => threshold.saturating_sub(1).min(top - 1) << 11 | low,
+                        2 => threshold.min(top - 1) << 11 | low,
+                        _ => (threshold + 1).min(top - 1) << 11 | low,
+                    }
+                })
+                .collect();
+            // Distinct spike times, so a mis-ordered pack shows; the gap
+            // before the read cursor holds values no spike has.
+            let mut times: Vec<u32> = vec![u32::MAX; read];
+            times.extend((0..len as u32).map(|i| i * 3 + 1));
+            let keep: Vec<bool> = draws.iter().map(|&d| d >> 11 >= threshold).collect();
+            let survivors: Vec<u32> = times[read..]
+                .iter()
+                .zip(&keep)
+                .filter(|(_, &k)| k)
+                .map(|(&t, _)| t)
+                .collect();
+            let masks: Vec<u8> = keep
+                .chunks(8)
+                .map(|group| {
+                    group
+                        .iter()
+                        .enumerate()
+                        .fold(0u8, |m, (l, &k)| m | (k as u8) << l)
+                })
+                .collect();
+            for backend in available_backends() {
+                let mut got_times = times.clone();
+                let mut got_masks = vec![0xa5u8; len.div_ceil(8)];
+                let kept = left_pack_with(
+                    backend,
+                    &mut got_times,
+                    read,
+                    &draws,
+                    threshold,
+                    &mut got_masks,
+                );
+                let case = format!("{backend:?} len={len} read={read} threshold={threshold}");
+                assert_eq!(kept, survivors.len(), "{case}");
+                assert_eq!(&got_times[..kept], &survivors[..], "{case}");
+                assert_eq!(got_masks, masks, "{case}");
+            }
+        }
+    }
+    // A threshold past the 53-bit range keeps nothing, like 2^53.
+    for backend in available_backends() {
+        let kept = left_pack_with(
+            backend,
+            &mut [7; 9],
+            0,
+            &[u64::MAX; 9],
+            u64::MAX,
+            &mut [0; 2],
+        );
+        assert_eq!(kept, 0, "{backend:?}");
     }
 }
 

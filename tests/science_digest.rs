@@ -2,14 +2,17 @@
 //!
 //! The determinism suites prove that the engine's paths agree with one
 //! another; they cannot catch a change that moves every path together.
-//! This test trains the tiny MLP pipeline of `tests/end_to_end.rs`, runs a
-//! deletion sweep with weight scaling and a jitter sweep over all five
-//! codings, and compares every point's accuracy and spike count with the
-//! committed `tests/golden/science_digest.txt`.  The last line pins the
-//! training itself: an FNV-1a digest of every trained parameter's bits and
-//! of the activation scales, so a kernel change that moves one weight bit
-//! fails here even when no sweep point moves.  Runs are deterministic, so
-//! the comparison is exact.
+//! Each test here trains a tiny pipeline, runs a deletion sweep with weight
+//! scaling and a jitter sweep over all five codings, and compares every
+//! point's accuracy and spike count with a committed golden under
+//! `tests/golden/`: the MLP pipeline of `tests/end_to_end.rs` in
+//! `science_digest.txt`, and a tiny CIFAR-10-like CNN (convolution
+//! forwards and backwards, the widest rasters the engine corrupts) in
+//! `science_digest_cnn.txt`.  The last line of each pins the training
+//! itself: an FNV-1a digest of every trained parameter's bits and of the
+//! activation scales, so a kernel change that moves one weight bit fails
+//! here even when no sweep point moves.  Runs are deterministic, so the
+//! comparison is exact.
 //!
 //! A mismatch means the science moved.  If that is intended, re-bless with
 //!
@@ -48,24 +51,38 @@ fn tiny_pipeline() -> TrainedPipeline {
     TrainedPipeline::build(&config).expect("pipeline must build")
 }
 
-fn sweep_config() -> SweepConfig {
+fn tiny_cnn_pipeline() -> TrainedPipeline {
+    let config = PipelineConfig {
+        dataset: DatasetSpec::cifar10_like().with_samples(48, 16),
+        model: ModelKind::Cnn,
+        dropout: 0.2,
+        epochs: 2,
+        batch_size: 16,
+        learning_rate: 1e-3,
+        percentile: 99.9,
+        seed: 7,
+    };
+    TrainedPipeline::build(&config).expect("CNN pipeline must build")
+}
+
+fn sweep_config(time_steps: u32, eval_samples: usize) -> SweepConfig {
     SweepConfig {
-        time_steps: 64,
-        eval_samples: 24,
+        time_steps,
+        eval_samples,
         seed: 99,
     }
 }
 
 /// One line per sweep point: sweep, method, level, accuracy %, mean spikes,
 /// every number through `Display` (which round-trips `f32`/`f64` exactly).
-fn digest(pipeline: &TrainedPipeline) -> String {
+fn digest(pipeline: &TrainedPipeline, config: SweepConfig) -> String {
     let deletion = DeletionSweep::new(&CODINGS, &[0.0, 0.5, 0.9])
         .weight_scaling(true)
-        .config(sweep_config())
+        .config(config)
         .run(pipeline)
         .expect("deletion sweep");
     let jitter = JitterSweep::new(&CODINGS, &[0.0, 1.0, 4.0])
-        .config(sweep_config())
+        .config(config)
         .run(pipeline)
         .expect("jitter sweep");
     let mut out = String::new();
@@ -121,13 +138,15 @@ fn training_digest(pipeline: &TrainedPipeline) -> String {
     )
 }
 
-#[test]
-fn science_digest_matches_the_committed_golden() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/science_digest.txt");
-    let actual = digest(&tiny_pipeline());
+/// Compares `actual` with the committed golden `tests/golden/{name}`, or
+/// writes it there under `NRSNN_SCIENCE_BLESS=1`.
+fn check_golden(name: &str, actual: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
     if std::env::var("NRSNN_SCIENCE_BLESS").as_deref() == Ok("1") {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &actual).unwrap();
+        std::fs::write(&path, actual).unwrap();
         return;
     }
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -148,4 +167,16 @@ fn science_digest_matches_the_committed_golden() {
         "the science moved (see the re-bless procedure in tests/science_digest.rs):\n{}",
         moved.join("\n")
     );
+}
+
+#[test]
+fn science_digest_matches_the_committed_golden() {
+    let actual = digest(&tiny_pipeline(), sweep_config(64, 24));
+    check_golden("science_digest.txt", &actual);
+}
+
+#[test]
+fn cnn_science_digest_matches_the_committed_golden() {
+    let actual = digest(&tiny_cnn_pipeline(), sweep_config(32, 8));
+    check_golden("science_digest_cnn.txt", &actual);
 }
